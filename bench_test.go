@@ -10,6 +10,7 @@
 package pperfgrid_test
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -749,7 +750,7 @@ func BenchmarkColdGetPR(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf.Reset()
-				took, err := svc.InvokeRawTo(core.OpGetPR, params, buf)
+				took, err := svc.InvokeRawToContext(context.Background(), core.OpGetPR, params, buf)
 				if err != nil || !took {
 					b.Fatal(took, err)
 				}

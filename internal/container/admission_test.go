@@ -251,42 +251,12 @@ func TestDeadlineExpiredWhileQueuedNeverInvokes(t *testing.T) {
 	}
 }
 
-// deadlineProbe records whether the request context carried a deadline
-// into the service — the end-to-end pin for the stub attaching
-// ppg-deadline and the container folding it into ctx.
-type deadlineProbe struct {
-	sawDeadline atomic.Bool
-	remaining   atomic.Int64 // ns until the observed deadline
-}
-
-func (p *deadlineProbe) Invoke(op string, params []string) ([]string, error) {
-	return []string{"no-ctx"}, nil
-}
-
-func (p *deadlineProbe) InvokeContext(ctx context.Context, op string, params []string) ([]string, error) {
-	if dl, ok := ctx.Deadline(); ok {
-		p.sawDeadline.Store(true)
-		p.remaining.Store(int64(time.Until(dl)))
-	} else {
-		p.sawDeadline.Store(false)
-	}
-	return []string{"ok"}, nil
-}
-
-func probeDef() *wsdl.Definition {
-	return wsdl.New("Probe", wsdl.PortType{Name: "Probe", Operations: []wsdl.Operation{
-		wsdl.Op("probe", "Reports the request deadline.", wsdl.PRep("arg")),
-	}})
-}
-
+// TestStubPropagatesDeadlineHeader pins the end-to-end deadline budget:
+// the stub attaches ppg-deadline and the container folds it into the
+// context Serve sees, with the remaining budget intact.
 func TestStubPropagatesDeadlineHeader(t *testing.T) {
 	c := startContainer(t, Options{})
-	probe := &deadlineProbe{}
-	in, err := c.Hosting().DeployPersistent("Probe", probe, probeDef())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub := Dial(in.Handle())
+	probe, _, stub := deployFake(t, c, 0)
 
 	const budget = 500 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
@@ -294,19 +264,19 @@ func TestStubPropagatesDeadlineHeader(t *testing.T) {
 	if _, err := stub.CallContext(ctx, "probe", "x"); err != nil {
 		t.Fatal(err)
 	}
-	if !probe.sawDeadline.Load() {
-		t.Fatal("service saw no deadline; ppg-deadline not propagated")
-	}
-	remaining := time.Duration(probe.remaining.Load())
+	probe.mu.Lock()
+	remaining := probe.remaining
+	probe.mu.Unlock()
 	if remaining <= 0 || remaining > budget+50*time.Millisecond {
 		t.Errorf("observed remaining budget %v, want in (0, ~%v]", remaining, budget)
 	}
 
 	// Without a client deadline, the service must see none.
-	if _, err := stub.Call("probe", "y"); err != nil {
+	out, err := stub.Call("probe", "y")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.sawDeadline.Load() {
+	if out[0] != "none" {
 		t.Error("service saw a deadline on a deadline-less call")
 	}
 }

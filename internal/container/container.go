@@ -11,20 +11,18 @@
 // HTTP connections; both halves reuse request/response body buffers
 // through the soap package's buffer pool.
 //
-// Beyond plain RPC, the container speaks two wire-path extensions:
-//
-//   - Paged calls: a request carrying the HeaderPageSize (and, on
-//     continuation, HeaderCursor) SOAP header entries is dispatched via
-//     ogsi.Instance.InvokePaged, so large result arrays — getPR against
-//     an SMG98-sized store — flow back in bounded chunks instead of one
-//     giant envelope. Stub.CallPaged is the client side.
-//   - Raw responses: a service implementing ogsi.RawResponder (the
-//     Execution service's encoded-response cache) answers with
-//     pre-encoded envelope bytes the container writes to the wire
-//     verbatim — zero marshalling on repeat queries. Services
-//     implementing ogsi.RawStreamer / ogsi.RawPagedStreamer instead
-//     encode their response straight into the container's pooled write
-//     buffer — the cold getPR path's zero-intermediate encode.
+// Every call reaches its instance through one dispatch point,
+// ogsi.Instance.Serve, and the reply comes back in one of two shapes:
+// envelope bytes the service produced itself (ogsi.Reply.Raw — the
+// Execution service's cached getPR envelope, or one it encoded straight
+// into the container's pooled write buffer), written verbatim with no
+// marshalling here; or string values (ogsi.Reply.Values), which the
+// container encodes. Paging and deadlines travel in SOAP header entries
+// (ogsi.HeaderPageSize, ogsi.HeaderCursor, ogsi.HeaderDeadline) that
+// parseCall folds into the ogsi.Call and the request context: a paged call
+// returns a large result array — getPR against an SMG98-sized store — in
+// bounded chunks instead of one giant envelope. Stub.CallPaged is the
+// client side.
 //
 // A Container may be configured with a fixed worker pool. A pool of size
 // one models the single-CPU Sun Ultra hosts of the paper's testbed:
@@ -34,7 +32,6 @@
 package container
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -316,23 +313,39 @@ func (c *Container) handleGet(w http.ResponseWriter, handle gsh.Handle) {
 	_, _ = w.Write(data)
 }
 
-// SOAP header entry names of the paged-call protocol. A request carrying
-// either entry is dispatched through the paged invocation path; the
-// response's HeaderCursor entry names the remainder of the result set
-// (absent when the set is complete). The canonical definitions live in
-// package ogsi, next to the PagedService/RawPagedStreamer contracts;
-// these aliases keep the transport's public names stable.
-const (
-	// HeaderCursor carries the opaque paging cursor: empty/absent on a
-	// request opens a new paged result set, non-empty continues one.
-	HeaderCursor = ogsi.HeaderCursor
-	// HeaderPageSize bounds the number of returned values per page.
-	HeaderPageSize = ogsi.HeaderPageSize
-	// HeaderDeadline carries the caller's remaining deadline budget in
-	// milliseconds; the container folds it into the request context
-	// before dispatch (see ogsi.HeaderDeadline).
-	HeaderDeadline = ogsi.HeaderDeadline
-)
+// maxBudgetMs is the largest ppg-deadline budget, in milliseconds, that a
+// time.Duration can hold; larger budgets are clamped to it.
+const maxBudgetMs = math.MaxInt64 / int64(time.Millisecond)
+
+// parseCall decodes a request envelope and its paged-call and deadline
+// header entries into the call to dispatch. budget is the caller's
+// remaining ppg-deadline budget (relative milliseconds — no clock
+// synchronization needed), 0 when the request carries none; a budget too
+// large for a time.Duration is clamped, never wrapped negative. The
+// returned strings are copied out of body, so the caller may reuse it.
+func parseCall(body []byte) (req *soap.Request, call ogsi.Call, budget time.Duration, err error) {
+	req, err = soap.DecodeRequest(body)
+	if err != nil {
+		return nil, ogsi.Call{}, 0, fmt.Errorf("decode request: %w", err)
+	}
+	call = ogsi.Call{Op: req.Operation, Params: req.Params}
+	cursor, hasCursor := req.Header(ogsi.HeaderCursor)
+	size, hasSize := req.Header(ogsi.HeaderPageSize)
+	call.Paged, call.Cursor = hasCursor || hasSize, cursor
+	if hasSize {
+		if call.Limit, err = strconv.Atoi(size); err != nil || call.Limit < 0 {
+			return nil, ogsi.Call{}, 0, errors.New("bad " + ogsi.HeaderPageSize + " header: " + size)
+		}
+	}
+	if dl, ok := req.Header(ogsi.HeaderDeadline); ok {
+		ms, err := strconv.ParseInt(dl, 10, 64)
+		if err != nil || ms <= 0 {
+			return nil, ogsi.Call{}, 0, errors.New("bad " + ogsi.HeaderDeadline + " header: " + dl)
+		}
+		budget = time.Duration(min(ms, maxBudgetMs)) * time.Millisecond
+	}
+	return req, call, budget, nil
+}
 
 func (c *Container) handlePost(w http.ResponseWriter, r *http.Request, handle gsh.Handle) {
 	arrived := time.Now()
@@ -347,11 +360,9 @@ func (c *Container) handlePost(w http.ResponseWriter, r *http.Request, handle gs
 		c.writeFault(w, soap.ClientFault("request exceeds size limit"))
 		return
 	}
-	// DecodeRequest copies every string out of the envelope, so the body
-	// buffer is free for reuse once the handler returns.
-	req, err := soap.DecodeRequest(body.Bytes())
+	req, call, budget, err := parseCall(body.Bytes())
 	if err != nil {
-		c.writeFault(w, soap.ClientFault("decode request: "+err.Error()))
+		c.writeFault(w, soap.ClientFault(err.Error()))
 		return
 	}
 	for _, ic := range c.opts.Interceptors {
@@ -366,33 +377,15 @@ func (c *Container) handlePost(w http.ResponseWriter, r *http.Request, handle gs
 		return
 	}
 
-	cursor, hasCursor := req.Header(HeaderCursor)
-	sizeStr, hasSize := req.Header(HeaderPageSize)
-	paged := hasCursor || hasSize
-	pageSize := 0
-	if hasSize {
-		pageSize, err = strconv.Atoi(sizeStr)
-		if err != nil || pageSize < 0 {
-			c.writeFault(w, soap.ClientFault("bad "+HeaderPageSize+" header: "+sizeStr))
-			return
-		}
-	}
-
-	// The request context carries client disconnection; the HeaderDeadline
-	// budget (relative milliseconds — no clock synchronization needed)
-	// tightens it to the caller's remaining deadline. Context-aware
-	// services propagate it through singleflight waits, cache fills, and
-	// Mapping-Layer fetches, so an expired request stops costing work as
-	// early as possible.
+	// The request context carries client disconnection; the ppg-deadline
+	// budget tightens it to the caller's remaining deadline. Server
+	// implementations propagate it through singleflight waits, cache fills,
+	// and Mapping-Layer fetches, so an expired request stops costing work
+	// as early as possible.
 	ctx := r.Context()
-	if dlStr, ok := req.Header(HeaderDeadline); ok {
-		ms, perr := strconv.ParseInt(dlStr, 10, 64)
-		if perr != nil || ms <= 0 {
-			c.writeFault(w, soap.ClientFault("bad "+HeaderDeadline+" header: "+dlStr))
-			return
-		}
+	if budget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
 
@@ -452,52 +445,12 @@ func (c *Container) handlePost(w http.ResponseWriter, r *http.Request, handle gs
 	}
 	c.executing.Add(1)
 	start := time.Now()
-	var (
-		returns  []string
-		next     string
-		raw      []byte
-		streamed bool
-	)
-	// out serves double duty: the raw streamers encode straight into it
-	// (zero-intermediate cold path), and the string path below reuses it
-	// as the response encode buffer. It is acquired lazily so the
-	// verbatim cache-hit path (InvokeRaw, served from pre-encoded bytes)
-	// stays free of pool traffic.
-	var out *bytes.Buffer
-	defer func() {
-		if out != nil {
-			soap.PutBuffer(out)
-		}
-	}()
-	getOut := func() *bytes.Buffer {
-		if out == nil {
-			out = soap.GetBuffer()
-		}
-		return out
-	}
-	if paged {
-		// A paging-aware service that can stream its own page envelope
-		// (cursor header included) goes first; everything else pages
-		// through the string protocol.
-		next, streamed, err = in.InvokePagedRawToContext(ctx, req.Operation, req.Params, cursor, pageSize, getOut())
-		if !streamed && err == nil {
-			returns, next, err = in.InvokePagedContext(ctx, req.Operation, req.Params, cursor, pageSize)
-		}
-	} else {
-		// The raw fast paths first: a service that caches encoded response
-		// envelopes answers verbatim with zero marshalling; a service that
-		// can stream the encode writes the envelope into the pooled buffer
-		// with no intermediate result strings. The plain string protocol
-		// is the fallback.
-		var tookRaw bool
-		raw, tookRaw, err = in.InvokeRawContext(ctx, req.Operation, req.Params)
-		if !tookRaw && err == nil {
-			streamed, err = in.InvokeRawToContext(ctx, req.Operation, req.Params, getOut())
-		}
-		if raw == nil && !streamed && err == nil {
-			returns, err = in.InvokeContext(ctx, req.Operation, req.Params)
-		}
-	}
+	// out is the pooled write buffer: the service may encode its envelope
+	// straight into it (Reply.Raw then aliases it), and a Values reply is
+	// encoded into it below.
+	out := soap.GetBuffer()
+	defer soap.PutBuffer(out)
+	reply, err := in.Serve(ctx, call, out)
 	elapsed := time.Since(start)
 	if c.workers != nil {
 		<-c.workers
@@ -505,38 +458,33 @@ func (c *Container) handlePost(w http.ResponseWriter, r *http.Request, handle gs
 	c.executing.Add(-1)
 	c.noteServiceTime(elapsed)
 	if c.opts.Logf != nil {
-		result := fmt.Sprintf("%d values", len(returns))
-		switch {
-		case raw != nil:
-			result = fmt.Sprintf("%d raw bytes", len(raw))
-		case streamed:
-			result = fmt.Sprintf("%d streamed bytes", out.Len())
+		result := fmt.Sprintf("%d values", len(reply.Values))
+		if reply.Raw != nil {
+			result = fmt.Sprintf("%d raw bytes", len(reply.Raw))
 		}
 		c.opts.Logf("container %s: %s %s(%d params) -> %s, err=%v, %s",
-			c.Host(), handle.ServiceType+"/"+handle.InstanceID, req.Operation,
-			len(req.Params), result, err, elapsed)
+			c.Host(), handle.ServiceType+"/"+handle.InstanceID, call.Op,
+			len(call.Params), result, err, elapsed)
 	}
 	if err != nil {
 		c.writeFault(w, soap.ServerFault(err))
 		return
 	}
-	if raw != nil {
-		w.Header().Set("Content-Type", soap.ContentType)
-		_, _ = w.Write(raw)
-		return
-	}
-	if !streamed {
-		var respHeaders []soap.HeaderEntry
-		if next != "" {
-			respHeaders = []soap.HeaderEntry{{Name: HeaderCursor, Value: next}}
+	resp := reply.Raw
+	if resp == nil {
+		var headers []soap.HeaderEntry
+		if reply.Next != "" {
+			headers = []soap.HeaderEntry{{Name: ogsi.HeaderCursor, Value: reply.Next}}
 		}
-		if err := soap.EncodeResponseTo(getOut(), req.Operation, respHeaders, returns); err != nil {
+		out.Reset()
+		if err := soap.EncodeResponseTo(out, call.Op, headers, reply.Values); err != nil {
 			c.writeFault(w, soap.ServerFault(err))
 			return
 		}
+		resp = out.Bytes()
 	}
 	w.Header().Set("Content-Type", soap.ContentType)
-	_, _ = w.Write(out.Bytes())
+	_, _ = w.Write(resp)
 }
 
 // retryHint estimates when a retry has a chance of admission: roughly

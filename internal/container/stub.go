@@ -92,8 +92,8 @@ func (s *Stub) CallContext(ctx context.Context, op string, params ...string) ([]
 }
 
 // CallPaged invokes an operation through the paged protocol: the cursor
-// and page size travel in SOAP header entries (HeaderCursor,
-// HeaderPageSize). An empty cursor opens a new paged result set; the
+// and page size travel in SOAP header entries (ogsi.HeaderCursor,
+// ogsi.HeaderPageSize). An empty cursor opens a new paged result set; the
 // returned next cursor is "" once the set is exhausted. limit <= 0 lets
 // the service choose its default page size. Servers that do not page the
 // operation return the whole result as one terminal page, so callers can
@@ -105,15 +105,15 @@ func (s *Stub) CallPaged(op, cursor string, limit int, params ...string) ([]stri
 // CallPagedContext is CallPaged under a caller-supplied context; see
 // CallContext for the cancellation semantics.
 func (s *Stub) CallPagedContext(ctx context.Context, op, cursor string, limit int, params ...string) ([]string, string, error) {
-	extra := []soap.HeaderEntry{{Name: HeaderPageSize, Value: strconv.Itoa(max(limit, 0))}}
+	extra := []soap.HeaderEntry{{Name: ogsi.HeaderPageSize, Value: strconv.Itoa(max(limit, 0))}}
 	if cursor != "" {
-		extra = append(extra, soap.HeaderEntry{Name: HeaderCursor, Value: cursor})
+		extra = append(extra, soap.HeaderEntry{Name: ogsi.HeaderCursor, Value: cursor})
 	}
 	resp, err := s.roundTrip(ctx, op, extra, params)
 	if err != nil {
 		return nil, "", err
 	}
-	next, _ := resp.Header(HeaderCursor)
+	next, _ := resp.Header(ogsi.HeaderCursor)
 	return resp.Returns, next, nil
 }
 
@@ -127,12 +127,12 @@ func (s *Stub) roundTrip(ctx context.Context, op string, extraHeaders []soap.Hea
 	}
 	hdrs = append(hdrs, extraHeaders...)
 	// A context deadline travels to the server as a relative millisecond
-	// budget (HeaderDeadline), so the container can expire the request
+	// budget (ogsi.HeaderDeadline), so the container can expire the request
 	// inside its own layers instead of doing doomed work until the client
 	// hangs up. Rounded up: a truncated budget of 0 would be rejected.
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := int64((time.Until(dl) + time.Millisecond - 1) / time.Millisecond); ms > 0 {
-			hdrs = append(hdrs, soap.HeaderEntry{Name: HeaderDeadline, Value: strconv.FormatInt(ms, 10)})
+			hdrs = append(hdrs, soap.HeaderEntry{Name: ogsi.HeaderDeadline, Value: strconv.FormatInt(ms, 10)})
 		}
 	}
 	// The request body must be freshly owned, not pooled: when the server

@@ -1,10 +1,12 @@
 package container
 
-// Wire-path tests: the paged-call protocol (cursor in SOAP headers), the
-// raw pre-encoded response path, and the fault behaviour for malformed,
-// truncated, and oversized envelopes.
+// Wire-path tests: the one dispatch contract (ogsi.Server) over the
+// socket, the paged-call protocol (cursor in SOAP headers), and the fault
+// behaviour for malformed, truncated, and oversized envelopes.
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -12,77 +14,225 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/soap"
 	"pperfgrid/internal/wsdl"
 )
 
-// pagedEchoService serves a fixed value list with real cursor state, so
-// stub-level paging is tested against an independent implementation
-// (core's Execution service has its own tests).
-type pagedEchoService struct {
-	values  []string
-	cursors map[string]int
+// fakeServer is an ogsi.Server with scripted answers, so the container's
+// one dispatch contract is tested independently of core's Execution
+// service (which has its own tests). "list" pages a fixed value list
+// behind real cursor state; "raw" answers with a retained pre-encoded
+// envelope; "stream" encodes its params as the envelope into the
+// transport's buffer; "probe" reports whether the request context carried
+// a deadline. served counts the calls that reached Serve.
+type fakeServer struct {
+	values   []string
+	retained []byte
+
+	mu        sync.Mutex
+	cursors   map[string]int
+	served    int
+	remaining time.Duration // deadline budget the last probe saw; 0 = none
 }
 
-func newPagedEcho(n int) *pagedEchoService {
-	s := &pagedEchoService{cursors: map[string]int{}}
+func newFakeServer(t *testing.T, n int) *fakeServer {
+	s := &fakeServer{cursors: map[string]int{}}
 	for i := 0; i < n; i++ {
 		s.values = append(s.values, fmt.Sprintf("value-%03d", i))
 	}
+	raw, err := soap.EncodeResponse("raw", nil, []string{"x", "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.retained = raw
 	return s
 }
 
-func (s *pagedEchoService) Invoke(op string, params []string) ([]string, error) {
-	if op != "list" {
-		return nil, fmt.Errorf("unknown op %q", op)
-	}
-	return s.values, nil
+func (s *fakeServer) Invoke(op string, params []string) ([]string, error) {
+	return nil, errors.New("plain Invoke must not be reached on a Server")
 }
 
-func (s *pagedEchoService) InvokePaged(op string, params []string, cursor string, limit int) ([]string, string, error) {
-	if op != "list" {
-		out, err := s.Invoke(op, params)
-		return out, "", err
+func (s *fakeServer) Serve(ctx context.Context, c ogsi.Call, buf *bytes.Buffer) (ogsi.Reply, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.served++
+	switch c.Op {
+	case "raw":
+		return ogsi.Reply{Raw: s.retained}, nil
+	case "stream":
+		if err := soap.EncodeResponseTo(buf, c.Op, nil, c.Params); err != nil {
+			return ogsi.Reply{}, err
+		}
+		return ogsi.Reply{Raw: buf.Bytes()}, nil
+	case "probe":
+		s.remaining = 0
+		if dl, ok := ctx.Deadline(); ok {
+			s.remaining = time.Until(dl)
+			return ogsi.Reply{Values: []string{"deadline"}}, nil
+		}
+		return ogsi.Reply{Values: []string{"none"}}, nil
+	case "list":
+		return s.page(c)
 	}
+	return ogsi.Reply{}, fmt.Errorf("fake: unknown op %q", c.Op)
+}
+
+func (s *fakeServer) page(c ogsi.Call) (ogsi.Reply, error) {
+	if !c.Paged {
+		return ogsi.Reply{Values: s.values}, nil
+	}
+	limit := c.Limit
 	if limit <= 0 {
 		limit = 4
 	}
 	start := 0
-	if cursor != "" {
-		off, ok := s.cursors[cursor]
+	if c.Cursor != "" {
+		off, ok := s.cursors[c.Cursor]
 		if !ok {
-			return nil, "", errors.New("unknown cursor")
+			return ogsi.Reply{}, errors.New("unknown cursor")
 		}
 		start = off
-		delete(s.cursors, cursor)
+		delete(s.cursors, c.Cursor)
 	}
 	end := start + limit
 	if end >= len(s.values) {
-		return s.values[start:], "", nil
+		return ogsi.Reply{Values: s.values[start:]}, nil
 	}
 	id := "c" + strconv.Itoa(end)
 	s.cursors[id] = end
-	return s.values[start:end], id, nil
+	return ogsi.Reply{Values: s.values[start:end], Next: id}, nil
 }
 
-func pagedEchoDef() *wsdl.Definition {
-	return wsdl.New("PagedEcho", wsdl.PortType{Name: "PagedEcho", Operations: []wsdl.Operation{
-		wsdl.Op("list", "Returns the value list."),
+func (s *fakeServer) servedCalls() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.served
+}
+
+func fakeDef() *wsdl.Definition {
+	return wsdl.New("Fake", wsdl.PortType{Name: "Fake", Operations: []wsdl.Operation{
+		wsdl.Op("list", "Returns the value list.", wsdl.P("filter")),
+		wsdl.Op("raw", "Returns a retained envelope."),
+		wsdl.Op("stream", "Encodes its params into the transport buffer.", wsdl.PRep("arg")),
+		wsdl.Op("probe", "Reports the request deadline.", wsdl.PRep("arg")),
 	}})
+}
+
+// deployFake hosts a fresh fakeServer over n values and dials it.
+func deployFake(t *testing.T, c *Container, n int) (*fakeServer, *ogsi.Instance, *Stub) {
+	t.Helper()
+	svc := newFakeServer(t, n)
+	in, err := c.Hosting().CreateInstance("Fake", svc, fakeDef())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc, in, Dial(in.Handle())
+}
+
+// TestServerContractOverWire drives the one dispatch contract through the
+// socket: every reply shape a Server can give, validation of fresh calls
+// only, the instance's own answers, and the request context.
+func TestServerContractOverWire(t *testing.T) {
+	c := startContainer(t, Options{})
+	deadlineCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cases := []struct {
+		name     string
+		call     func(t *testing.T, stub *Stub, in *ogsi.Instance) ([]string, string, error)
+		want     []string
+		wantNext bool
+		fault    string // substring of the expected fault; "" expects success
+		served   int    // calls that reach Serve
+	}{
+		{name: "raw from a retained slice", want: []string{"x", "y"}, served: 1,
+			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
+				out, err := stub.Call("raw")
+				return out, "", err
+			}},
+		{name: "raw aliasing the transport buffer", want: []string{"a", "b"}, served: 1,
+			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
+				out, err := stub.Call("stream", "a", "b")
+				return out, "", err
+			}},
+		{name: "values unpaged", want: []string{"value-000", "value-001", "value-002"}, served: 1,
+			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
+				out, err := stub.Call("list", "f")
+				return out, "", err
+			}},
+		{name: "values paged with next", want: []string{"value-000", "value-001"}, wantNext: true, served: 1,
+			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
+				return stub.CallPaged("list", "", 2, "f")
+			}},
+		{name: "fresh paged call validated", fault: wsdl.ErrBadArity.Error(), served: 0,
+			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
+				return stub.CallPaged("list", "", 2)
+			}},
+		{name: "continuation not revalidated", want: []string{"value-002"}, served: 2,
+			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
+				_, next, err := stub.CallPaged("list", "", 2, "f")
+				if err != nil || next == "" {
+					t.Fatalf("open: next=%q err=%v", next, err)
+				}
+				return stub.CallPaged("list", next, 2)
+			}},
+		{name: "destroyed instance faults", fault: "no such service instance", served: 0,
+			call: func(t *testing.T, stub *Stub, in *ogsi.Instance) ([]string, string, error) {
+				if err := in.Destroy(); err != nil {
+					t.Fatal(err)
+				}
+				// Serve itself refuses a destroyed instance that a racing
+				// request still holds.
+				if _, err := in.Serve(context.Background(), ogsi.Call{Op: "raw"}, new(bytes.Buffer)); !errors.Is(err, ogsi.ErrDestroyed) {
+					t.Fatalf("Serve after Destroy: %v, want ErrDestroyed", err)
+				}
+				return stub.CallPaged("raw", "", 2)
+			}},
+		{name: "standard op paged is one terminal page", want: []string{"Fake"}, served: 0,
+			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
+				return stub.CallPaged(ogsi.OpFindServiceData, "", 1, "serviceType")
+			}},
+		{name: "deadline visible in ctx", want: []string{"deadline"}, served: 1,
+			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
+				out, err := stub.CallContext(deadlineCtx, "probe")
+				return out, "", err
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, in, stub := deployFake(t, c, 3)
+			got, next, err := tc.call(t, stub, in)
+			if tc.fault != "" {
+				var fault *soap.Fault
+				if !errors.As(err, &fault) || !strings.Contains(fault.String, tc.fault) {
+					t.Fatalf("err = %v, want a fault containing %q", err, tc.fault)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("values = %q, want %q", got, tc.want)
+			}
+			if (next != "") != tc.wantNext {
+				t.Errorf("next = %q, want a cursor: %v", next, tc.wantNext)
+			}
+			if n := svc.servedCalls(); n != tc.served {
+				t.Errorf("calls reaching Serve = %d, want %d", n, tc.served)
+			}
+		})
+	}
 }
 
 // TestPagedCallOverWire: stub.CallPaged drains the set in limit-sized
 // pages whose concatenation equals the unpaged Call.
 func TestPagedCallOverWire(t *testing.T) {
 	c := startContainer(t, Options{})
-	in, err := c.Hosting().DeployPersistent("PagedEcho", newPagedEcho(19), pagedEchoDef())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub := Dial(in.Handle())
-	want, err := stub.Call("list")
+	_, _, stub := deployFake(t, c, 19)
+	want, err := stub.Call("list", "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +240,7 @@ func TestPagedCallOverWire(t *testing.T) {
 	cursor := ""
 	pages := 0
 	for {
-		page, next, err := stub.CallPaged("list", cursor, 5)
+		page, next, err := stub.CallPaged("list", cursor, 5, "f")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,8 +262,8 @@ func TestPagedCallOverWire(t *testing.T) {
 	}
 }
 
-// TestPagedCallAgainstUnpagedService: a service without PagedService
-// support answers a paged call with one terminal page.
+// TestPagedCallAgainstUnpagedService: a plain Service (no ogsi.Server)
+// answers a paged call with one terminal page.
 func TestPagedCallAgainstUnpagedService(t *testing.T) {
 	c := startContainer(t, Options{})
 	in, _ := c.Hosting().DeployPersistent("Echo", echoService{}, echoDef())
@@ -134,57 +284,39 @@ func TestPagedCallAgainstUnpagedService(t *testing.T) {
 func TestBadPageSizeHeaderFaults(t *testing.T) {
 	c := startContainer(t, Options{})
 	in, _ := c.Hosting().DeployPersistent("Echo", echoService{}, echoDef())
-	data, err := soap.EncodeRequest("ping", []soap.HeaderEntry{{Name: HeaderPageSize, Value: "lots"}}, nil)
+	data, err := soap.EncodeRequest("ping", []soap.HeaderEntry{{Name: ogsi.HeaderPageSize, Value: "lots"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fault := postForFault(t, in.Handle().URL(), data)
-	if fault.Code != soap.FaultClient || !strings.Contains(fault.String, HeaderPageSize) {
+	if fault.Code != soap.FaultClient || !strings.Contains(fault.String, ogsi.HeaderPageSize) {
 		t.Errorf("fault = %+v", fault)
 	}
 }
 
-// rawEchoService answers "list" with a pre-encoded envelope.
-type rawEchoService struct {
-	raw      []byte
-	rawCalls int
-}
-
-func (s *rawEchoService) Invoke(op string, params []string) ([]string, error) {
-	return nil, errors.New("plain Invoke must not be reached when raw answers")
-}
-
-func (s *rawEchoService) InvokeRaw(op string, params []string) ([]byte, bool, error) {
-	if op != "list" {
-		return nil, false, nil
-	}
-	s.rawCalls++
-	return s.raw, true, nil
-}
-
-// TestRawResponsePath: pre-encoded envelope bytes reach the client
-// verbatim, with no server-side marshalling step.
+// TestRawResponsePath: a Server's retained envelope reaches the wire
+// byte for byte, with no server-side marshalling step.
 func TestRawResponsePath(t *testing.T) {
-	raw, err := soap.EncodeResponse("list", nil, []string{"x", "y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := &rawEchoService{raw: raw}
 	c := startContainer(t, Options{})
-	in, err := c.Hosting().DeployPersistent("PagedEcho", svc, pagedEchoDef())
+	svc, in, _ := deployFake(t, c, 0)
+	req, err := soap.EncodeRequest("raw", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stub := Dial(in.Handle())
-	out, err := stub.Call("list")
+	resp, err := http.Post(in.Handle().URL(), soap.ContentType, bytes.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, []string{"x", "y"}) {
-		t.Errorf("raw-served call = %v", out)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if svc.rawCalls != 1 {
-		t.Errorf("rawCalls = %d", svc.rawCalls)
+	if !bytes.Equal(body, svc.retained) {
+		t.Errorf("wire body %q, want the retained envelope %q", body, svc.retained)
+	}
+	if n := svc.servedCalls(); n != 1 {
+		t.Errorf("calls reaching Serve = %d, want 1", n)
 	}
 }
 

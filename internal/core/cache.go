@@ -14,8 +14,8 @@
 // eviction min-heap, so concurrent hits proceed in parallel and eviction
 // is O(log n) instead of the retained single-lock implementation's O(n)
 // scan. The Execution service also implements the paged getPR protocol:
-// results flow to clients in cursor-addressed chunks (ogsi.PagedService)
-// instead of one envelope per result set.
+// results flow to clients in cursor-addressed chunks (a paged ogsi.Call
+// to its ogsi.Server entry point) instead of one envelope per result set.
 //
 // The Site type at the bottom of the package assembles one complete
 // PPerfGrid site: hosting containers, factories, Manager, and wrappers.

@@ -2,14 +2,15 @@ package core
 
 // Differential tests for the cold getPR overhaul: the vectorized,
 // zero-intermediate wire path (mapping.ResultAppender + the soap
-// streaming encoder, served through ogsi.RawStreamer /
-// ogsi.RawPagedStreamer) must produce byte-identical envelopes and
-// identical result sets to the retained row-at-a-time / string-building
-// oracle (SetRowOracle), on the full and paged protocols, for every
-// store shape.
+// streaming encoder, which Serve takes for uncached instances — through
+// InvokeRawToContext unpaged, one encoded page per paged call) must
+// produce byte-identical envelopes and identical result sets to the
+// retained row-at-a-time / string-building oracle (SetRowOracle), on the
+// full and paged protocols, for every store shape.
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"pperfgrid/internal/datagen"
@@ -78,7 +79,7 @@ func oracleEnvelope(t *testing.T, svc *ExecutionService, q perfdata.Query) []byt
 	SetRowOracle(true)
 	defer SetRowOracle(false)
 	var buf bytes.Buffer
-	if took, err := svc.InvokeRawTo(OpGetPR, q.WireParams(), &buf); took || err != nil {
+	if took, err := svc.InvokeRawToContext(context.Background(), OpGetPR, q.WireParams(), &buf); took || err != nil {
 		t.Fatalf("raw streamer must decline under the row oracle (took=%v err=%v)", took, err)
 	}
 	returns, err := svc.Invoke(OpGetPR, q.WireParams())
@@ -105,7 +106,7 @@ func TestColdWireEnvelopeByteIdentical(t *testing.T) {
 
 			buf := soap.GetBuffer()
 			defer soap.PutBuffer(buf)
-			took, err := svc.InvokeRawTo(OpGetPR, shape.q.WireParams(), buf)
+			took, err := svc.InvokeRawToContext(context.Background(), OpGetPR, shape.q.WireParams(), buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,16 +152,21 @@ func TestColdPagedEnvelopeByteIdentical(t *testing.T) {
 			pages := 0
 			for {
 				buf := soap.GetBuffer()
-				next, took, err := fast.InvokePagedRawTo(OpGetPR, shape.q.WireParams(), cursorF, limit, buf)
+				reply, err := fast.Serve(context.Background(), ogsi.Call{Op: OpGetPR, Params: shape.q.WireParams(), Paged: true, Cursor: cursorF, Limit: limit}, buf)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !took {
+				if reply.Raw == nil {
 					t.Fatal("uncached appender-backed service must take the raw paged path")
 				}
+				resp, err := soap.DecodeResponse(reply.Raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next, _ := resp.Header(ogsi.HeaderCursor)
 
 				SetRowOracle(true)
-				returns, nextO, oerr := oracle.InvokePaged(OpGetPR, shape.q.WireParams(), cursorO, limit)
+				returns, nextO, oerr := servePage(context.Background(), oracle, OpGetPR, shape.q.WireParams(), cursorO, limit)
 				SetRowOracle(false)
 				if oerr != nil {
 					t.Fatal(oerr)
@@ -173,8 +179,8 @@ func TestColdPagedEnvelopeByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Fatalf("page %d envelope diverges (%d vs %d bytes)", pages, buf.Len(), len(want))
+				if !bytes.Equal(reply.Raw, want) {
+					t.Fatalf("page %d envelope diverges (%d vs %d bytes)", pages, len(reply.Raw), len(want))
 				}
 				soap.PutBuffer(buf)
 				pages++
@@ -219,7 +225,7 @@ func TestColdResultSetMatchesOracle(t *testing.T) {
 
 			buf := soap.GetBuffer()
 			defer soap.PutBuffer(buf)
-			if _, err := svc.InvokeRawTo(OpGetPR, shape.q.WireParams(), buf); err != nil {
+			if _, err := svc.InvokeRawToContext(context.Background(), OpGetPR, shape.q.WireParams(), buf); err != nil {
 				t.Fatal(err)
 			}
 			resp, err := soap.DecodeResponse(buf.Bytes())
@@ -252,7 +258,7 @@ func TestColdCachedRawMatchesOracleBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewExecutionService(shape.id, ew, NewLRU(16), nil)
-	raw, took, err := svc.InvokeRaw(OpGetPR, shape.q.WireParams())
+	raw, took, err := svc.InvokeRawContext(context.Background(), OpGetPR, shape.q.WireParams())
 	if err != nil || !took {
 		t.Fatalf("cached InvokeRaw: took=%v err=%v", took, err)
 	}
@@ -265,7 +271,7 @@ func TestColdCachedRawMatchesOracleBytes(t *testing.T) {
 	if !bytes.Equal(raw, want) {
 		t.Fatalf("cached-miss streamed envelope diverges from oracle (%d vs %d bytes)", len(raw), len(want))
 	}
-	again, took, err := svc.InvokeRaw(OpGetPR, shape.q.WireParams())
+	again, took, err := svc.InvokeRawContext(context.Background(), OpGetPR, shape.q.WireParams())
 	if err != nil || !took {
 		t.Fatalf("repeat InvokeRaw: took=%v err=%v", took, err)
 	}
@@ -305,7 +311,7 @@ func TestColdPathAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				took, err := svc.InvokeRawTo(OpGetPR, params, buf)
+				took, err := svc.InvokeRawToContext(context.Background(), OpGetPR, params, buf)
 				if err != nil || !took {
 					t.Fatalf("took=%v err=%v", took, err)
 				}

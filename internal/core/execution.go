@@ -20,12 +20,11 @@ import (
 
 // rowOracle routes the getPR read path through the retained
 // row-at-a-time, string-building implementation when set: fetchResults
-// streams row by row instead of batch-decoding, and the raw wire
-// streamers decline so the transport falls back to Invoke +
-// perfdata.EncodeResults + the generic response encode. It is the
-// differential oracle and ablation hook of the cold-path overhaul,
-// mirroring soap.SetLegacyCodec one layer up. Not intended for
-// concurrent toggling.
+// streams row by row instead of batch-decoding, and every envelope Serve
+// would stream takes the string route instead (perfdata.EncodeResults +
+// the generic response encode). It is the differential oracle and
+// ablation hook of the cold-path overhaul, mirroring soap.SetLegacyCodec
+// one layer up. Not intended for concurrent toggling.
 var rowOracle atomic.Bool
 
 // SetRowOracle switches the package between the vectorized cold path
@@ -214,12 +213,11 @@ func (e *ExecutionService) Invoke(op string, params []string) ([]string, error) 
 	return e.InvokeContext(context.Background(), op, params)
 }
 
-// InvokeContext implements ogsi.ContextService: the transport's
-// per-request context (client disconnection plus the HeaderDeadline
-// budget) flows through the getPR read path — singleflight waits, cache
-// fills, and the Mapping-Layer fetch guard — so an expired or abandoned
-// request stops costing work instead of running to a result nobody
-// reads.
+// InvokeContext is Invoke under a request context: client disconnection
+// plus the HeaderDeadline budget flow through the getPR read path —
+// singleflight waits, cache fills, and the Mapping-Layer fetch guard — so
+// an expired or abandoned request stops costing work instead of running
+// to a result nobody reads.
 func (e *ExecutionService) InvokeContext(ctx context.Context, op string, params []string) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -276,35 +274,66 @@ func (e *ExecutionService) InvokeContext(ctx context.Context, op string, params 
 	return nil, fmt.Errorf("%w: %q on Execution", ogsi.ErrUnknownOperation, op)
 }
 
-// InvokePaged implements ogsi.PagedService for getPR: large result sets
-// flow to the client in chunks instead of one giant envelope, the cursor
-// travelling in a SOAP header entry (section "paged getPR" of
-// ARCHITECTURE.md). Every other operation falls back to the plain
-// protocol as a single terminal page, so the concatenation of pages is
-// always element-identical to the unpaged reply. This is the string
-// protocol; raw-capable transports page through InvokePagedRawTo, which
-// encodes each page straight into the wire buffer.
-func (e *ExecutionService) InvokePaged(op string, params []string, cursor string, limit int) ([]string, string, error) {
-	return e.InvokePagedContext(context.Background(), op, params, cursor, limit)
+// Serve implements ogsi.Server. The Execution service is the one module
+// that knows whether it caches and whether its wrapper appends results in
+// batches, so the wire path of each call is chosen here:
+//
+//   - unpaged getPR on a cached instance: the entry's encoded envelope,
+//     served verbatim (InvokeRawContext);
+//   - unpaged getPR on an uncached mapping.ResultAppender: the envelope
+//     encoded straight into buf (InvokeRawToContext);
+//   - paged getPR: one page behind a cursor (servePage);
+//   - everything else, and the row-oracle / legacy-codec hooks: string
+//     values for the transport to encode (InvokeContext).
+func (e *ExecutionService) Serve(ctx context.Context, c ogsi.Call, buf *bytes.Buffer) (ogsi.Reply, error) {
+	if c.Op == OpGetPR {
+		if c.Paged {
+			return e.servePage(ctx, c, buf)
+		}
+		if raw, took, err := e.InvokeRawContext(ctx, c.Op, c.Params); took || err != nil {
+			return ogsi.Reply{Raw: raw}, err
+		}
+		streamed, err := e.InvokeRawToContext(ctx, c.Op, c.Params, buf)
+		if err != nil {
+			return ogsi.Reply{}, err
+		}
+		if streamed {
+			return ogsi.Reply{Raw: buf.Bytes()}, nil
+		}
+	}
+	vals, err := e.InvokeContext(ctx, c.Op, c.Params)
+	return ogsi.Reply{Values: vals}, err
 }
 
-// InvokePagedContext implements ogsi.ContextPagedService; see
-// InvokeContext for the propagation contract.
-func (e *ExecutionService) InvokePagedContext(ctx context.Context, op string, params []string, cursor string, limit int) ([]string, string, error) {
-	if op != OpGetPR {
-		out, err := e.InvokeContext(ctx, op, params)
-		return out, "", err
-	}
-	page, next, err := e.pagedResults(ctx, op, params, cursor, limit)
+// servePage answers one page of a paged getPR: large result sets flow to
+// the client in chunks instead of one giant envelope, the cursor
+// travelling in a SOAP header entry. The page encodes straight into buf,
+// cursor entry included, with no per-result intermediate strings; under
+// the row-oracle and legacy-codec hooks it goes back as strings for the
+// transport to encode, so ablations measure the string path end to end.
+// Both produce the same envelope bytes (differential tests pin it).
+func (e *ExecutionService) servePage(ctx context.Context, c ogsi.Call, buf *bytes.Buffer) (ogsi.Reply, error) {
+	page, next, err := e.pagedResults(ctx, c.Params, c.Cursor, c.Limit)
 	if err != nil {
-		return nil, "", err
+		return ogsi.Reply{}, err
 	}
-	return perfdata.EncodeResults(page), next, nil
+	if rowOracle.Load() || soap.LegacyCodec() {
+		return ogsi.Reply{Values: perfdata.EncodeResults(page), Next: next}, nil
+	}
+	var headers []soap.HeaderEntry
+	if next != "" {
+		headers = []soap.HeaderEntry{{Name: ogsi.HeaderCursor, Value: next}}
+	}
+	if err := encodeResultsTo(buf, headers, page); err != nil {
+		return ogsi.Reply{}, err
+	}
+	e.wireEncodes.Add(1)
+	return ogsi.Reply{Raw: buf.Bytes()}, nil
 }
 
-// pagedResults is the shared paging engine behind both paged protocols:
-// it returns one page of decoded results plus the continuation cursor.
-func (e *ExecutionService) pagedResults(ctx context.Context, op string, params []string, cursor string, limit int) ([]perfdata.Result, string, error) {
+// pagedResults is the paging engine behind servePage: it returns one page
+// of decoded results plus the continuation cursor.
+func (e *ExecutionService) pagedResults(ctx context.Context, params []string, cursor string, limit int) ([]perfdata.Result, string, error) {
 	if limit <= 0 {
 		limit = DefaultPageSize
 	}
@@ -458,38 +487,6 @@ func (e *ExecutionService) continueCursor(id string, limit int) ([]perfdata.Resu
 	return page, id, nil
 }
 
-// InvokePagedRawTo implements ogsi.RawPagedStreamer for getPR: one page
-// of results encodes straight into the transport's pooled buffer — the
-// cursor header entry included — with no per-result intermediate
-// strings. The envelope bytes are identical to what the transport
-// produces from the equivalent InvokePaged page (differential tests pin
-// it). Declines under the row-oracle and legacy-codec hooks so ablations
-// measure the string path end to end.
-func (e *ExecutionService) InvokePagedRawTo(op string, params []string, cursor string, limit int, buf *bytes.Buffer) (string, bool, error) {
-	return e.InvokePagedRawToContext(context.Background(), op, params, cursor, limit, buf)
-}
-
-// InvokePagedRawToContext implements ogsi.ContextRawPagedStreamer; see
-// InvokeContext for the propagation contract.
-func (e *ExecutionService) InvokePagedRawToContext(ctx context.Context, op string, params []string, cursor string, limit int, buf *bytes.Buffer) (string, bool, error) {
-	if op != OpGetPR || rowOracle.Load() || soap.LegacyCodec() {
-		return "", false, nil
-	}
-	page, next, err := e.pagedResults(ctx, op, params, cursor, limit)
-	if err != nil {
-		return "", true, err
-	}
-	var headers []soap.HeaderEntry
-	if next != "" {
-		headers = []soap.HeaderEntry{{Name: ogsi.HeaderCursor, Value: next}}
-	}
-	if err := encodeResultsTo(buf, headers, page); err != nil {
-		return "", true, err
-	}
-	e.wireEncodes.Add(1)
-	return next, true, nil
-}
-
 // encodeResultsTo streams one getPR response envelope into buf: each
 // result renders into a pooled scratch slice (perfdata.AppendEncode) and
 // escapes straight into the envelope — the zero-intermediate encode.
@@ -522,17 +519,12 @@ func (e *ExecutionService) dropCursorLocked(id string) {
 	}
 }
 
-// InvokeRaw implements ogsi.RawResponder for getPR when caching is on:
-// the entry's encoded SOAP response envelope is written to the wire
-// verbatim, so a repeat query (the Table 5 workload) does zero XML
-// marshalling. On a miss the envelope is encoded exactly once and
-// attached to the cache entry alongside the decoded results.
-func (e *ExecutionService) InvokeRaw(op string, params []string) ([]byte, bool, error) {
-	return e.InvokeRawContext(context.Background(), op, params)
-}
-
-// InvokeRawContext implements ogsi.ContextRawResponder; see
-// InvokeContext for the propagation contract.
+// InvokeRawContext answers getPR on a cached instance with the entry's
+// encoded SOAP response envelope, written to the wire verbatim, so a
+// repeat query (the Table 5 workload) does zero XML marshalling. On a miss
+// the envelope is encoded exactly once and attached to the cache entry
+// alongside the decoded results. took is false — nothing done — for other
+// operations and uncached instances.
 func (e *ExecutionService) InvokeRawContext(ctx context.Context, op string, params []string) ([]byte, bool, error) {
 	cache := e.cacheRef()
 	if op != OpGetPR || cache == nil {
@@ -587,23 +579,16 @@ func (e *ExecutionService) encodeResults(rs []perfdata.Result) ([]byte, error) {
 	return soap.CopyEncoded(buf), nil
 }
 
-// InvokeRawTo implements ogsi.RawStreamer for getPR on uncached
-// instances — the cold wire path. The result set decodes batch-at-a-time
-// into a pooled arena (mapping.ResultAppender), encodes straight into
-// the transport's buffer, and the arena recycles: steady-state cold
-// queries materialize no per-row values, no per-result strings, and no
-// owned envelope slice. Cached instances decline (InvokeRaw serves them,
-// since their envelope must be retained for the cache), as do the
-// row-oracle and legacy-codec hooks and wrappers without a vectorized
-// path.
-func (e *ExecutionService) InvokeRawTo(op string, params []string, buf *bytes.Buffer) (bool, error) {
-	return e.InvokeRawToContext(context.Background(), op, params, buf)
-}
-
-// InvokeRawToContext implements ogsi.ContextRawStreamer; see
-// InvokeContext for the propagation contract. The context is checked at
-// the store boundary — an expired request never reaches the Mapping
-// Layer.
+// InvokeRawToContext answers getPR on an uncached instance — the cold wire
+// path — by encoding the envelope straight into buf. The result set
+// decodes batch-at-a-time into a pooled arena (mapping.ResultAppender),
+// encodes into the transport's buffer, and the arena recycles:
+// steady-state cold queries materialize no per-row values, no per-result
+// strings, and no owned envelope slice. It declines (false, buf untouched)
+// for cached instances, whose envelope must be retained for the cache, for
+// the row-oracle and legacy-codec hooks, and for wrappers without a
+// vectorized path. The context is checked at the store boundary — an
+// expired request never reaches the Mapping Layer.
 func (e *ExecutionService) InvokeRawToContext(ctx context.Context, op string, params []string, buf *bytes.Buffer) (bool, error) {
 	if op != OpGetPR || rowOracle.Load() || soap.LegacyCodec() {
 		return false, nil

@@ -54,8 +54,8 @@ func TestExpiredContextNeverReachesMapping(t *testing.T) {
 	if _, err := svc.InvokeContext(ctx, OpGetPR, q.WireParams()); !errors.Is(err, context.Canceled) {
 		t.Errorf("InvokeContext: %v, want context.Canceled", err)
 	}
-	if _, _, err := svc.InvokePagedContext(ctx, OpGetPR, q.WireParams(), "", 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("InvokePagedContext: %v, want context.Canceled", err)
+	if _, _, err := servePage(ctx, svc, OpGetPR, q.WireParams(), "", 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("paged Serve: %v, want context.Canceled", err)
 	}
 	if _, _, err := svc.InvokeRawContext(ctx, OpGetPR, q.WireParams()); !errors.Is(err, context.Canceled) {
 		t.Errorf("InvokeRawContext: %v, want context.Canceled", err)
@@ -161,7 +161,7 @@ func TestCursorBudgetsEvict(t *testing.T) {
 
 	open := func() string {
 		t.Helper()
-		rs, next, err := svc.InvokePaged(OpGetPR, q.WireParams(), "", 1)
+		rs, next, err := servePage(context.Background(), svc, OpGetPR, q.WireParams(), "", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,17 +182,17 @@ func TestCursorBudgetsEvict(t *testing.T) {
 	if entries, _, ev := svc.CursorStats(); entries != 2 || ev != 1 {
 		t.Fatalf("after third open: entries=%d evictions=%d, want 2, 1", entries, ev)
 	}
-	if _, _, err := svc.InvokePaged(OpGetPR, nil, curA, 1); err == nil || !strings.Contains(err.Error(), "unknown or expired") {
+	if _, _, err := servePage(context.Background(), svc, OpGetPR, nil, curA, 1); err == nil || !strings.Contains(err.Error(), "unknown or expired") {
 		t.Fatalf("evicted cursor continuation: %v, want unknown-or-expired error", err)
 	}
 
 	// A continuation refreshes B's TTL...
-	if _, _, err := svc.InvokePaged(OpGetPR, nil, curB, 1); err != nil {
+	if _, _, err := servePage(context.Background(), svc, OpGetPR, nil, curB, 1); err != nil {
 		t.Fatalf("live cursor continuation: %v", err)
 	}
 	// ...then both survivors idle past the TTL and are reclaimed.
 	mu.now = mu.now.Add(61 * time.Second)
-	if _, _, err := svc.InvokePaged(OpGetPR, nil, curC, 1); err == nil || !strings.Contains(err.Error(), "unknown or expired") {
+	if _, _, err := servePage(context.Background(), svc, OpGetPR, nil, curC, 1); err == nil || !strings.Contains(err.Error(), "unknown or expired") {
 		t.Fatalf("TTL-expired cursor continuation: %v, want unknown-or-expired error", err)
 	}
 	if entries, bytes, ev := svc.CursorStats(); entries != 0 || bytes != 0 || ev != 3 {
@@ -208,7 +208,7 @@ func TestCursorBudgetsEvict(t *testing.T) {
 	if entries, _, ev := svc.CursorStats(); entries != 1 || ev != 4 {
 		t.Fatalf("after byte-budget open: entries=%d evictions=%d, want 1, 4", entries, ev)
 	}
-	if _, _, err := svc.InvokePaged(OpGetPR, nil, curD, 1); err == nil {
+	if _, _, err := servePage(context.Background(), svc, OpGetPR, nil, curD, 1); err == nil {
 		t.Fatal("byte-evicted cursor still live")
 	}
 }

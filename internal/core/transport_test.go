@@ -1,17 +1,23 @@
 package core
 
 // Tests for the wire-path features of the Execution service: paged getPR
-// (ogsi.PagedService) and the encoded-response cache (ogsi.RawResponder).
+// (a paged ogsi.Call to Serve) and the encoded-response cache
+// (InvokeRawContext, Serve's path for cached instances).
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"pperfgrid/internal/container"
 	"pperfgrid/internal/datagen"
 	"pperfgrid/internal/mapping"
+	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/perfdata"
 	"pperfgrid/internal/soap"
+	"pperfgrid/internal/wsdl"
 )
 
 // smgExecution builds an Execution service over a result set large enough
@@ -36,6 +42,23 @@ func smgExecution(t *testing.T, cache Cache) (*ExecutionService, perfdata.Query)
 	return svc, perfdata.Query{Metric: metrics[0], Time: tr, Type: perfdata.UndefinedType}
 }
 
+// servePage runs one paged call through Serve and returns the page as a
+// client decodes it: the values and the continuation cursor.
+func servePage(ctx context.Context, svc *ExecutionService, op string, params []string, cursor string, limit int) ([]string, string, error) {
+	buf := soap.GetBuffer()
+	defer soap.PutBuffer(buf)
+	r, err := svc.Serve(ctx, ogsi.Call{Op: op, Params: params, Paged: true, Cursor: cursor, Limit: limit}, buf)
+	if err != nil || r.Raw == nil {
+		return r.Values, r.Next, err
+	}
+	resp, err := soap.DecodeResponse(r.Raw)
+	if err != nil {
+		return nil, "", err
+	}
+	next, _ := resp.Header(ogsi.HeaderCursor)
+	return resp.Returns, next, nil
+}
+
 // drainPages pages a getPR query to exhaustion and returns the
 // concatenation plus the number of pages fetched.
 func drainPages(t *testing.T, svc *ExecutionService, q perfdata.Query, limit int) ([]string, int) {
@@ -44,7 +67,7 @@ func drainPages(t *testing.T, svc *ExecutionService, q perfdata.Query, limit int
 	cursor := ""
 	pages := 0
 	for {
-		page, next, err := svc.InvokePaged(OpGetPR, q.WireParams(), cursor, limit)
+		page, next, err := servePage(context.Background(), svc, OpGetPR, q.WireParams(), cursor, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,15 +112,15 @@ func TestPagedGetPRDifferential(t *testing.T) {
 // and unknown cursors fail, and a data update expires live cursors.
 func TestPagedGetPRCursorLifecycle(t *testing.T) {
 	svc, q := smgExecution(t, nil)
-	_, next, err := svc.InvokePaged(OpGetPR, q.WireParams(), "", 5)
+	_, next, err := servePage(context.Background(), svc, OpGetPR, q.WireParams(), "", 5)
 	if err != nil || next == "" {
 		t.Fatalf("open cursor: %q, %v", next, err)
 	}
-	if _, _, err := svc.InvokePaged(OpGetPR, nil, "no-such-cursor", 5); err == nil {
+	if _, _, err := servePage(context.Background(), svc, OpGetPR, nil, "no-such-cursor", 5); err == nil {
 		t.Error("unknown cursor accepted")
 	}
 	svc.NotifyUpdate("store changed")
-	if _, _, err := svc.InvokePaged(OpGetPR, nil, next, 5); err == nil {
+	if _, _, err := servePage(context.Background(), svc, OpGetPR, nil, next, 5); err == nil {
 		t.Error("cursor survived a data update")
 	}
 }
@@ -106,16 +129,16 @@ func TestPagedGetPRCursorLifecycle(t *testing.T) {
 // expires the oldest instead of growing without limit.
 func TestPagedGetPRCursorEviction(t *testing.T) {
 	svc, q := smgExecution(t, nil)
-	_, oldest, err := svc.InvokePaged(OpGetPR, q.WireParams(), "", 1)
+	_, oldest, err := servePage(context.Background(), svc, OpGetPR, q.WireParams(), "", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < maxLiveCursors; i++ {
-		if _, _, err := svc.InvokePaged(OpGetPR, q.WireParams(), "", 1); err != nil {
+		if _, _, err := servePage(context.Background(), svc, OpGetPR, q.WireParams(), "", 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := svc.InvokePaged(OpGetPR, nil, oldest, 1); err == nil {
+	if _, _, err := servePage(context.Background(), svc, OpGetPR, nil, oldest, 1); err == nil {
 		t.Error("oldest cursor survived eviction beyond the bound")
 	}
 }
@@ -128,7 +151,7 @@ func TestPagedOtherOpsSinglePage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, next, err := svc.InvokePaged(OpGetFoci, nil, "", 2)
+	got, next, err := servePage(context.Background(), svc, OpGetFoci, nil, "", 2)
 	if err != nil || next != "" {
 		t.Fatalf("paged getFoci: next=%q err=%v", next, err)
 	}
@@ -144,14 +167,14 @@ func TestPagedOtherOpsSinglePage(t *testing.T) {
 // repeat returning the very same byte slice.
 func TestInvokeRawServesEncodedCache(t *testing.T) {
 	svc, q := smgExecution(t, NewLRU(0))
-	first, ok, err := svc.InvokeRaw(OpGetPR, q.WireParams())
+	first, ok, err := svc.InvokeRawContext(context.Background(), OpGetPR, q.WireParams())
 	if err != nil || !ok {
 		t.Fatalf("first InvokeRaw: ok=%v err=%v", ok, err)
 	}
 	if svc.WireEncodes() != 1 {
 		t.Fatalf("first call encoded %d envelopes, want 1", svc.WireEncodes())
 	}
-	second, ok, err := svc.InvokeRaw(OpGetPR, q.WireParams())
+	second, ok, err := svc.InvokeRawContext(context.Background(), OpGetPR, q.WireParams())
 	if err != nil || !ok {
 		t.Fatalf("second InvokeRaw: ok=%v err=%v", ok, err)
 	}
@@ -182,10 +205,10 @@ func TestInvokeRawServesEncodedCache(t *testing.T) {
 // decline so the container falls back to plain Invoke.
 func TestInvokeRawDeclinesWithoutCache(t *testing.T) {
 	svc, q := smgExecution(t, nil)
-	if _, ok, err := svc.InvokeRaw(OpGetPR, q.WireParams()); ok || err != nil {
+	if _, ok, err := svc.InvokeRawContext(context.Background(), OpGetPR, q.WireParams()); ok || err != nil {
 		t.Fatalf("raw path should decline without a cache: ok=%v err=%v", ok, err)
 	}
-	if _, ok, _ := svc.InvokeRaw(OpGetFoci, nil); ok {
+	if _, ok, _ := svc.InvokeRawContext(context.Background(), OpGetFoci, nil); ok {
 		t.Error("raw path should decline non-getPR operations")
 	}
 }
@@ -198,13 +221,13 @@ func TestInvokeRawAfterDecodedWarm(t *testing.T) {
 	if _, err := svc.PerformanceResults(q); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := svc.InvokeRaw(OpGetPR, q.WireParams()); !ok || err != nil {
+	if _, ok, err := svc.InvokeRawContext(context.Background(), OpGetPR, q.WireParams()); !ok || err != nil {
 		t.Fatalf("raw after warm: ok=%v err=%v", ok, err)
 	}
 	if svc.WireEncodes() != 1 {
 		t.Fatalf("encodes = %d, want 1", svc.WireEncodes())
 	}
-	if _, ok, err := svc.InvokeRaw(OpGetPR, q.WireParams()); !ok || err != nil {
+	if _, ok, err := svc.InvokeRawContext(context.Background(), OpGetPR, q.WireParams()); !ok || err != nil {
 		t.Fatalf("raw repeat: ok=%v err=%v", ok, err)
 	}
 	if svc.WireEncodes() != 1 {
@@ -216,14 +239,59 @@ func TestInvokeRawAfterDecodedWarm(t *testing.T) {
 // envelopes behind.
 func TestNotifyUpdateDropsWire(t *testing.T) {
 	svc, q := smgExecution(t, NewLRU(0))
-	if _, ok, err := svc.InvokeRaw(OpGetPR, q.WireParams()); !ok || err != nil {
+	if _, ok, err := svc.InvokeRawContext(context.Background(), OpGetPR, q.WireParams()); !ok || err != nil {
 		t.Fatal(err)
 	}
 	svc.NotifyUpdate("store changed")
-	if _, ok, err := svc.InvokeRaw(OpGetPR, q.WireParams()); !ok || err != nil {
+	if _, ok, err := svc.InvokeRawContext(context.Background(), OpGetPR, q.WireParams()); !ok || err != nil {
 		t.Fatal(err)
 	}
 	if svc.WireEncodes() != 2 {
 		t.Errorf("encodes after invalidation = %d, want 2", svc.WireEncodes())
+	}
+}
+
+// TestMalformedGetPROneFault: a getPR with too few parameters fails WSDL
+// validation with the same arity fault on the unpaged and paged
+// protocols, on cached and uncached instances alike.
+func TestMalformedGetPROneFault(t *testing.T) {
+	d := datagen.HPL(datagen.HPLConfig{Executions: 1, Seed: 34})
+	var faults []string
+	for _, cachingOff := range []bool{false, true} {
+		w, err := mapping.NewWideTable(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		site, err := StartSite(SiteConfig{AppName: "HPL", Wrappers: []mapping.ApplicationWrapper{w}, CachingOff: cachingOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer site.Close()
+		app, err := container.Dial(site.ApplicationFactoryHandle()).CreateService()
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles, err := app.Call(OpGetAllExecs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, err := container.DialString(handles[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, unpaged := exec.Call(OpGetPR, "gflops")
+		_, _, paged := exec.CallPaged(OpGetPR, "", 4, "gflops")
+		for _, err := range []error{unpaged, paged} {
+			var fault *soap.Fault
+			if !errors.As(err, &fault) || !strings.Contains(fault.String, wsdl.ErrBadArity.Error()) {
+				t.Fatalf("caching off=%v: %v, want the WSDL arity fault", cachingOff, err)
+			}
+			faults = append(faults, fault.String)
+		}
+	}
+	for _, f := range faults[1:] {
+		if f != faults[0] {
+			t.Errorf("faults differ across protocols and caching: %q", faults)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -249,7 +250,7 @@ func checkRead(t *testing.T, live, oracle *ExecutionService, q perfdata.Query, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, handled, err := live.InvokeRaw(OpGetPR, q.WireParams())
+	raw, handled, err := live.InvokeRawContext(context.Background(), OpGetPR, q.WireParams())
 	if err != nil || !handled {
 		t.Fatalf("%s: InvokeRaw %q: handled=%v err=%v", ctx, q.Key(), handled, err)
 	}
@@ -257,7 +258,7 @@ func checkRead(t *testing.T, live, oracle *ExecutionService, q perfdata.Query, c
 		t.Fatalf("%s: wire envelope for %q is stale or diverges (%d bytes, oracle %d bytes)", ctx, q.Key(), len(raw), len(wantEnv))
 	}
 	before := live.WireEncodes()
-	raw2, handled, err := live.InvokeRaw(OpGetPR, q.WireParams())
+	raw2, handled, err := live.InvokeRawContext(context.Background(), OpGetPR, q.WireParams())
 	if err != nil || !handled {
 		t.Fatalf("%s: repeat InvokeRaw %q: handled=%v err=%v", ctx, q.Key(), handled, err)
 	}
@@ -269,7 +270,7 @@ func checkRead(t *testing.T, live, oracle *ExecutionService, q perfdata.Query, c
 	}
 
 	var paged []string
-	page, next, err := live.InvokePaged(OpGetPR, q.WireParams(), "", 3)
+	page, next, err := servePage(context.Background(), live, OpGetPR, q.WireParams(), "", 3)
 	for {
 		if err != nil {
 			t.Fatalf("%s: paged read %q: %v", ctx, q.Key(), err)
@@ -278,7 +279,7 @@ func checkRead(t *testing.T, live, oracle *ExecutionService, q perfdata.Query, c
 		if next == "" {
 			break
 		}
-		page, next, err = live.InvokePaged(OpGetPR, q.WireParams(), next, 3)
+		page, next, err = servePage(context.Background(), live, OpGetPR, q.WireParams(), next, 3)
 	}
 	if got := strings.Join(paged, "\n"); got != want {
 		t.Fatalf("%s: paged read of %q diverges from rebuilt store", ctx, q.Key())
@@ -421,7 +422,7 @@ func TestWritePathCursorSnapshot(t *testing.T) {
 
 	limit := len(preRs)/2 + 1
 	var got []string
-	page, next, err := live.InvokePaged(OpGetPR, q.WireParams(), "", limit)
+	page, next, err := servePage(context.Background(), live, OpGetPR, q.WireParams(), "", limit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +434,7 @@ func TestWritePathCursorSnapshot(t *testing.T) {
 	publishBatch(t, live, shape.writes, false, "mid-cursor write")
 
 	for next != "" {
-		page, next, err = live.InvokePaged(OpGetPR, q.WireParams(), next, limit)
+		page, next, err = servePage(context.Background(), live, OpGetPR, q.WireParams(), next, limit)
 		if err != nil {
 			t.Fatal(err)
 		}

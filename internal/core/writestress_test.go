@@ -7,6 +7,7 @@ package core
 // writers-plus-readers stress run over live services, meant for -race.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -74,7 +75,7 @@ func TestWritePathInvalidationCounts(t *testing.T) {
 	// Attach wire envelopes to some of X's entries: invalidation counts
 	// entries, not bytes, so these must not change the arithmetic.
 	for _, q := range xq[:3] {
-		if _, handled, err := svcX.InvokeRaw(OpGetPR, q.WireParams()); !handled || err != nil {
+		if _, handled, err := svcX.InvokeRawContext(context.Background(), OpGetPR, q.WireParams()); !handled || err != nil {
 			t.Fatalf("InvokeRaw: handled=%v err=%v", handled, err)
 		}
 	}
@@ -344,7 +345,7 @@ func TestWritePathConcurrentStress(t *testing.T) {
 					}
 				default: // churn: unique windows through the raw envelope path
 					q := windowQuery(rng.Float64()*10, whole.End-rng.Float64()*10)
-					if _, handled, err := svcX.InvokeRaw(OpGetPR, q.WireParams()); !handled || err != nil {
+					if _, handled, err := svcX.InvokeRawContext(context.Background(), OpGetPR, q.WireParams()); !handled || err != nil {
 						errCh <- fmt.Errorf("reader %d raw op %d: handled=%v err=%v", r, i, handled, err)
 						return
 					}

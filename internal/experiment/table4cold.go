@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -119,7 +120,7 @@ func (s *coldStore) envelope(buf *bytes.Buffer, oracle bool) error {
 		}
 		return soap.EncodeResponseTo(buf, core.OpGetPR, nil, returns)
 	}
-	took, err := s.svc.InvokeRawTo(core.OpGetPR, s.q.WireParams(), buf)
+	took, err := s.svc.InvokeRawToContext(context.Background(), core.OpGetPR, s.q.WireParams(), buf)
 	if err != nil {
 		return err
 	}

@@ -305,8 +305,8 @@ func (e *Engine) Query(ctx context.Context, sites []string, q perfdata.Query) *R
 // querySite runs one site's retry loop: breaker admission, attempts with
 // per-attempt deadlines and hedging, backoff between retries, all under
 // the query-wide retry budget.
-func (e *Engine) querySite(ctx context.Context, site string, q perfdata.Query, budget *retryBudget) SiteOutcome {
-	out := SiteOutcome{Site: site, Status: StatusError}
+func (e *Engine) querySite(ctx context.Context, site string, q perfdata.Query, budget *retryBudget) (out SiteOutcome) {
+	out = SiteOutcome{Site: site, Status: StatusError}
 	h := e.health(site)
 	start := time.Now()
 	defer func() { out.Elapsed = time.Since(start) }()

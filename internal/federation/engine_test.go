@@ -93,6 +93,25 @@ func TestPartialFailureGuarantee(t *testing.T) {
 	}
 }
 
+// TestSiteOutcomeElapsed pins per-site timing through the seeded chaos
+// transport: a site with injected latency reports at least that latency,
+// and a fast-failing site still reports a non-zero time.
+func TestSiteOutcomeElapsed(t *testing.T) {
+	const lag = 20 * time.Millisecond
+	chaos := NewChaosTransport(newMockTransport(alwaysOK), 11)
+	chaos.SetSiteFaults("slow", SiteFaults{Latency: lag})
+	chaos.SetSiteFaults("sick", SiteFaults{ErrorRate: 1})
+	e := New(chaos, quietConfig())
+
+	r := e.Query(context.Background(), []string{"slow", "sick"}, perfdata.Query{})
+	if o := r.Outcome("slow"); o.Status != StatusOK || o.Elapsed < lag {
+		t.Errorf("slow site: status %v, elapsed %v; want ok and >= %v", o.Status, o.Elapsed, lag)
+	}
+	if o := r.Outcome("sick"); o.Status != StatusError || o.Elapsed <= 0 {
+		t.Errorf("erroring site: status %v, elapsed %v; want an error and > 0", o.Status, o.Elapsed)
+	}
+}
+
 // TestRetryBudgetExactCounts pins the retry-storm bound: a wave of B
 // queries against a fleet with one dead site consumes exactly
 // min(budget, maxAttempts-1) extra attempts per query on the dead site

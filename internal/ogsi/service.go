@@ -7,13 +7,14 @@
 //
 // The paper used the Globus Toolkit 3.2 for this layer; this package is
 // the from-scratch substitute, providing the same semantics over the SOAP
-// transport of package container. Optional service interfaces extend the
-// wire path: PagedService (chunked results behind a cursor), RawResponder
-// (pre-encoded response envelopes served verbatim), and the streaming
-// pair RawStreamer / RawPagedStreamer (envelopes encoded directly into
-// the transport's pooled buffer — the cold path's zero-intermediate
-// encode); the hosting Instance routes the Invoke* variants to them with
-// the same WSDL validation as plain Invoke.
+// transport of package container. Instance.Serve is the Services Layer's
+// one dispatch point: it answers the standard GridService operations,
+// validates calls against the WSDL definition, and hands the rest to the
+// implementation. A service that implements the optional Server interface
+// chooses its own wire path per call — envelope bytes served verbatim or
+// encoded straight into the transport's pooled buffer, paged or not —
+// while a plain Service answers with string values for the transport to
+// encode.
 package ogsi
 
 import (
@@ -31,9 +32,11 @@ import (
 )
 
 // SOAP header entry names of the paged-call protocol. They live here —
-// beside the PagedService contract — so both the transport (package
-// container) and services that stream their own paged envelopes
-// (RawPagedStreamer implementations) name them without an import cycle.
+// beside the Server contract — so both the transport (package container)
+// and services that encode their own paged envelopes name them without an
+// import cycle. A request carrying HeaderPageSize or HeaderCursor is a
+// paged call; the response's HeaderCursor entry names the remainder of
+// the result set (absent when the set is complete).
 const (
 	// HeaderCursor carries the opaque paging cursor: empty/absent on a
 	// fresh call, the service's continuation token afterwards.
@@ -43,9 +46,9 @@ const (
 	// HeaderDeadline carries the caller's remaining deadline budget in
 	// milliseconds (a relative budget, not an absolute timestamp, so
 	// clients and servers need no clock synchronization). The transport
-	// folds it into the request context before dispatch, and
-	// context-aware services propagate it down through their layers — an
-	// expired request is turned away before it reaches a data store.
+	// folds it into the request context before dispatch, and Server
+	// implementations propagate it down through their layers — an expired
+	// request is turned away before it reaches a data store.
 	HeaderDeadline = "ppg-deadline"
 )
 
@@ -72,87 +75,46 @@ type ServiceDataProvider interface {
 	ServiceData() map[string][]string
 }
 
-// PagedService is optionally implemented by services whose operations can
-// return large result arrays in chunks. A call with an empty cursor starts
-// a new paged result set: the service returns up to limit values plus an
-// opaque cursor naming the remainder ("" when the set is complete). A call
-// with a non-empty cursor continues that set; params are ignored on
-// continuation. The transport carries the cursor in a SOAP header entry
-// (see package container), keeping the body shape — an array of strings —
-// identical to the unpaged protocol.
-type PagedService interface {
-	InvokePaged(op string, params []string, cursor string, limit int) (values []string, next string, err error)
+// Call is one invocation as the transport decoded it. Paged marks the
+// paged-call protocol (a request carrying HeaderPageSize or HeaderCursor):
+// Cursor is empty on a fresh call and names a live result set on a
+// continuation, whose Params are then ignored; Limit bounds the values per
+// page, 0 meaning the service's default.
+type Call struct {
+	Op     string
+	Params []string
+	Paged  bool
+	Cursor string
+	Limit  int
 }
 
-// RawResponder is optionally implemented by services that can answer an
-// operation with pre-encoded SOAP response envelope bytes — the transport
-// writes them to the wire verbatim, skipping marshalling entirely. ok
-// reports whether the service took the call; when false the caller must
-// fall back to Invoke. The Execution service uses this to serve repeat
-// getPR queries straight from its encoded-response cache.
+// Reply is a Server's answer. A non-nil Raw is a complete SOAP response
+// envelope — the HeaderCursor entry of a continuing page included — that
+// the transport writes verbatim; it may alias the buffer passed to Serve.
+// Otherwise the transport encodes Values, with a HeaderCursor entry when
+// Next (the continuation of a paged result set) is non-empty.
+type Reply struct {
+	Raw    []byte
+	Values []string
+	Next   string
+}
+
+// Server is optionally implemented by services that choose their own wire
+// path per call, with paging and raw envelope bytes as parameters of the
+// one entry point. The Execution service answers a
+// repeat getPR with its cached envelope, encodes a cold one straight into
+// buf, and pages large result sets behind a cursor.
 //
-// Implementations validate op and params themselves for the calls they
-// accept: the hosting Instance does not run WSDL validation before
-// InvokeRaw, so the common declined case (which falls back to Invoke,
-// where full validation runs) costs nothing extra.
-type RawResponder interface {
-	InvokeRaw(op string, params []string) (raw []byte, ok bool, err error)
-}
-
-// RawStreamer is optionally implemented by services that can encode an
-// operation's response envelope directly into the transport's pooled
-// write buffer — the zero-intermediate cold path: no per-item strings,
-// no owned envelope slice, one buffer from store to wire. ok reports
-// whether the service took the call; when false the buffer is untouched
-// and the caller falls back to Invoke. When err != nil the buffer's
-// contents are undefined and must be discarded (the transport writes a
-// fault instead). Like RawResponder, implementations validate op and
-// params themselves for calls they accept.
-type RawStreamer interface {
-	InvokeRawTo(op string, params []string, buf *bytes.Buffer) (ok bool, err error)
-}
-
-// RawPagedStreamer is the paged counterpart of RawStreamer: the service
-// encodes one page's response envelope (including the HeaderCursor
-// entry when the set continues) into buf. ok=false leaves the buffer
-// untouched and the caller falls back to the string-based PagedService
-// protocol. The envelope bytes must equal what the transport would have
-// produced from the equivalent InvokePaged page, so paged responses are
-// indistinguishable on the wire whichever path served them.
-type RawPagedStreamer interface {
-	InvokePagedRawTo(op string, params []string, cursor string, limit int, buf *bytes.Buffer) (next string, ok bool, err error)
-}
-
-// ContextService is optionally implemented by services whose operations
-// honor a per-request context: the transport derives it from the HTTP
-// request (cancellation when the peer goes away) and the HeaderDeadline
-// budget, and the service propagates it down — through singleflight
-// waits, cache fills, and Mapping-Layer fetches in the Execution
-// service's case. Services without it are dispatched through plain
-// Invoke and simply cannot be cut short mid-operation.
-type ContextService interface {
-	InvokeContext(ctx context.Context, op string, params []string) ([]string, error)
-}
-
-// ContextPagedService is the context-aware counterpart of PagedService.
-type ContextPagedService interface {
-	InvokePagedContext(ctx context.Context, op string, params []string, cursor string, limit int) (values []string, next string, err error)
-}
-
-// ContextRawResponder is the context-aware counterpart of RawResponder.
-type ContextRawResponder interface {
-	InvokeRawContext(ctx context.Context, op string, params []string) (raw []byte, ok bool, err error)
-}
-
-// ContextRawStreamer is the context-aware counterpart of RawStreamer.
-type ContextRawStreamer interface {
-	InvokeRawToContext(ctx context.Context, op string, params []string, buf *bytes.Buffer) (ok bool, err error)
-}
-
-// ContextRawPagedStreamer is the context-aware counterpart of
-// RawPagedStreamer.
-type ContextRawPagedStreamer interface {
-	InvokePagedRawToContext(ctx context.Context, op string, params []string, cursor string, limit int, buf *bytes.Buffer) (next string, ok bool, err error)
+// ctx carries the caller's cancellation and HeaderDeadline budget; the
+// service propagates it down its own layers. buf is the transport's pooled
+// write buffer, never nil. By the time Serve runs, the hosting Instance has
+// rejected destroyed instances, answered the standard GridService
+// operations, and validated every fresh call (empty Cursor) against the
+// WSDL definition. Raw envelope bytes must equal what the transport would
+// encode from the equivalent Values, so the two are indistinguishable on
+// the wire. On error the buffer's contents are discarded.
+type Server interface {
+	Serve(ctx context.Context, c Call, buf *bytes.Buffer) (Reply, error)
 }
 
 // Destroyer is optionally implemented by services that must release
@@ -239,60 +201,77 @@ func (in *Instance) SetServiceData(name string, values ...string) {
 	in.serviceData[name] = values
 }
 
-// Invoke dispatches an operation: standard GridService PortType operations
-// are handled by the instance itself; everything else is validated against
-// the WSDL definition and delegated to the implementation.
+// Invoke dispatches an operation in process — the local bypass: Serve
+// with no deadline and no wire, so the answer is always the
+// implementation's string values.
 func (in *Instance) Invoke(op string, params []string) ([]string, error) {
-	return in.InvokeContext(context.Background(), op, params)
+	r, err := in.Serve(context.Background(), Call{Op: op, Params: params}, nil)
+	return r.Values, err
 }
 
-// InvokeContext is Invoke under a caller-supplied context. Standard
-// GridService operations ignore it (they are instance-local and fast);
-// implementation operations reach the service's ContextService entry
-// point when it has one, so the transport's per-request deadline flows
-// into the service's own layers.
-func (in *Instance) InvokeContext(ctx context.Context, op string, params []string) ([]string, error) {
-	in.mu.Lock()
-	if in.destroyed {
-		in.mu.Unlock()
-		return nil, ErrDestroyed
+// Serve is the instance's one dispatch point. A destroyed instance fails
+// with ErrDestroyed; the standard GridService operations are answered by
+// the instance itself, as one terminal page of values; every other call is
+// validated against the WSDL definition — except a continuation to a
+// Server, whose cursor names state the opening call validated — and
+// delegated. A Server takes the call with buf; a service without one (or
+// an in-process call, whose nil buf has no wire to write bytes to) is
+// answered by plain Invoke after a ctx check, its whole result one
+// terminal page, so callers can page uniformly against any instance.
+func (in *Instance) Serve(ctx context.Context, c Call, buf *bytes.Buffer) (Reply, error) {
+	if in.Destroyed() {
+		return Reply{}, ErrDestroyed
 	}
-	in.mu.Unlock()
+	if vals, ok, err := in.standard(c.Op, c.Params); ok {
+		return Reply{Values: vals}, err
+	}
+	s, _ := in.impl.(Server)
+	if buf == nil {
+		s = nil
+	}
+	if c.Cursor == "" || s == nil {
+		if err := in.validate(c.Op, c.Params); err != nil {
+			return Reply{}, err
+		}
+	}
+	if s != nil {
+		return s.Serve(ctx, c, buf)
+	}
+	if err := ctx.Err(); err != nil {
+		return Reply{}, err
+	}
+	vals, err := in.impl.Invoke(c.Op, c.Params)
+	return Reply{Values: vals}, err
+}
 
+// standard answers the GridService PortType operations the instance
+// handles itself; ok is false for every other operation.
+func (in *Instance) standard(op string, params []string) (vals []string, ok bool, err error) {
 	switch op {
 	case OpFindServiceData:
 		if len(params) != 1 {
-			return nil, fmt.Errorf("ogsi: %s requires 1 parameter", OpFindServiceData)
+			return nil, true, fmt.Errorf("ogsi: %s requires 1 parameter", OpFindServiceData)
 		}
-		return in.findServiceData(params[0])
+		vals, err = in.findServiceData(params[0])
 	case OpSetTerminationTime:
 		if len(params) != 1 {
-			return nil, fmt.Errorf("ogsi: %s requires 1 parameter", OpSetTerminationTime)
+			return nil, true, fmt.Errorf("ogsi: %s requires 1 parameter", OpSetTerminationTime)
 		}
-		return in.setTerminationTime(params[0])
+		vals, err = in.setTerminationTime(params[0])
 	case OpDestroy:
 		if len(params) != 0 {
-			return nil, fmt.Errorf("ogsi: %s takes no parameters", OpDestroy)
+			return nil, true, fmt.Errorf("ogsi: %s takes no parameters", OpDestroy)
 		}
-		return nil, in.Destroy()
+		err = in.Destroy()
 	case OpGetServiceDefinition:
-		data, err := in.def.Marshal()
-		if err != nil {
-			return nil, err
+		var data []byte
+		if data, err = in.def.Marshal(); err == nil {
+			vals = []string{string(data)}
 		}
-		return []string{string(data)}, nil
+	default:
+		return nil, false, nil
 	}
-
-	if err := in.validate(op, params); err != nil {
-		return nil, err
-	}
-	if cs, ok := in.impl.(ContextService); ok {
-		return cs.InvokeContext(ctx, op, params)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return in.impl.Invoke(op, params)
+	return vals, true, err
 }
 
 // validate checks a non-standard operation against the WSDL definition.
@@ -307,155 +286,6 @@ func (in *Instance) validate(op string, params []string) error {
 		return err
 	}
 	return nil
-}
-
-// standardOp reports whether op belongs to the GridService PortType that
-// Invoke handles itself; those operations never page and are never served
-// raw.
-func standardOp(op string) bool {
-	switch op {
-	case OpFindServiceData, OpSetTerminationTime, OpDestroy, OpGetServiceDefinition:
-		return true
-	}
-	return false
-}
-
-// InvokePaged dispatches a paged invocation. Implementations that support
-// paging (PagedService) get the cursor and limit; everything else falls
-// back to a plain Invoke whose whole result is returned as a single
-// terminal page, so callers can page uniformly against any instance.
-func (in *Instance) InvokePaged(op string, params []string, cursor string, limit int) ([]string, string, error) {
-	return in.InvokePagedContext(context.Background(), op, params, cursor, limit)
-}
-
-// InvokePagedContext is InvokePaged under a caller-supplied context; see
-// InvokeContext for the propagation contract.
-func (in *Instance) InvokePagedContext(ctx context.Context, op string, params []string, cursor string, limit int) ([]string, string, error) {
-	cps, ctxOK := in.impl.(ContextPagedService)
-	ps, plainOK := in.impl.(PagedService)
-	if (!ctxOK && !plainOK) || standardOp(op) {
-		out, err := in.InvokeContext(ctx, op, params)
-		return out, "", err
-	}
-	in.mu.Lock()
-	destroyed := in.destroyed
-	in.mu.Unlock()
-	if destroyed {
-		return nil, "", ErrDestroyed
-	}
-	// Continuations name server-side state by cursor; the original call
-	// already validated the operation and parameters.
-	if cursor == "" {
-		if err := in.validate(op, params); err != nil {
-			return nil, "", err
-		}
-	}
-	if ctxOK {
-		return cps.InvokePagedContext(ctx, op, params, cursor, limit)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, "", err
-	}
-	return ps.InvokePaged(op, params, cursor, limit)
-}
-
-// InvokeRaw gives a RawResponder implementation the chance to answer with
-// pre-encoded response envelope bytes. ok is false when the implementation
-// does not (or cannot) take the call; the caller then uses Invoke, whose
-// WSDL validation covers the declined path (accepted calls are validated
-// by the implementation, per the RawResponder contract).
-func (in *Instance) InvokeRaw(op string, params []string) ([]byte, bool, error) {
-	return in.InvokeRawContext(context.Background(), op, params)
-}
-
-// InvokeRawContext is InvokeRaw under a caller-supplied context; see
-// InvokeContext for the propagation contract.
-func (in *Instance) InvokeRawContext(ctx context.Context, op string, params []string) ([]byte, bool, error) {
-	crr, ctxOK := in.impl.(ContextRawResponder)
-	rr, plainOK := in.impl.(RawResponder)
-	if (!ctxOK && !plainOK) || standardOp(op) {
-		return nil, false, nil
-	}
-	in.mu.Lock()
-	destroyed := in.destroyed
-	in.mu.Unlock()
-	if destroyed {
-		return nil, false, ErrDestroyed
-	}
-	if ctxOK {
-		return crr.InvokeRawContext(ctx, op, params)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	return rr.InvokeRaw(op, params)
-}
-
-// InvokeRawTo gives a RawStreamer implementation the chance to encode
-// the response envelope straight into buf. Declined calls (ok=false)
-// leave buf untouched; the caller falls back to Invoke, whose WSDL
-// validation covers that path.
-func (in *Instance) InvokeRawTo(op string, params []string, buf *bytes.Buffer) (bool, error) {
-	return in.InvokeRawToContext(context.Background(), op, params, buf)
-}
-
-// InvokeRawToContext is InvokeRawTo under a caller-supplied context; see
-// InvokeContext for the propagation contract.
-func (in *Instance) InvokeRawToContext(ctx context.Context, op string, params []string, buf *bytes.Buffer) (bool, error) {
-	crs, ctxOK := in.impl.(ContextRawStreamer)
-	rs, plainOK := in.impl.(RawStreamer)
-	if (!ctxOK && !plainOK) || standardOp(op) {
-		return false, nil
-	}
-	in.mu.Lock()
-	destroyed := in.destroyed
-	in.mu.Unlock()
-	if destroyed {
-		return false, ErrDestroyed
-	}
-	if ctxOK {
-		return crs.InvokeRawToContext(ctx, op, params, buf)
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return rs.InvokeRawTo(op, params, buf)
-}
-
-// InvokePagedRawTo gives a RawPagedStreamer implementation the chance to
-// encode one page's envelope straight into buf. Fresh calls are WSDL-
-// validated like InvokePaged; continuations were validated when their
-// cursor was opened.
-func (in *Instance) InvokePagedRawTo(op string, params []string, cursor string, limit int, buf *bytes.Buffer) (string, bool, error) {
-	return in.InvokePagedRawToContext(context.Background(), op, params, cursor, limit, buf)
-}
-
-// InvokePagedRawToContext is InvokePagedRawTo under a caller-supplied
-// context; see InvokeContext for the propagation contract.
-func (in *Instance) InvokePagedRawToContext(ctx context.Context, op string, params []string, cursor string, limit int, buf *bytes.Buffer) (string, bool, error) {
-	cps, ctxOK := in.impl.(ContextRawPagedStreamer)
-	ps, plainOK := in.impl.(RawPagedStreamer)
-	if (!ctxOK && !plainOK) || standardOp(op) {
-		return "", false, nil
-	}
-	in.mu.Lock()
-	destroyed := in.destroyed
-	in.mu.Unlock()
-	if destroyed {
-		return "", false, ErrDestroyed
-	}
-	if cursor == "" {
-		if err := in.validate(op, params); err != nil {
-			return "", true, err
-		}
-	}
-	if ctxOK {
-		return cps.InvokePagedRawToContext(ctx, op, params, cursor, limit, buf)
-	}
-	if err := ctx.Err(); err != nil {
-		return "", false, err
-	}
-	return ps.InvokePagedRawTo(op, params, cursor, limit, buf)
 }
 
 // findServiceData answers a FindServiceData query. A plain name returns
