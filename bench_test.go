@@ -161,31 +161,26 @@ func BenchmarkFigure12(b *testing.B) {
 }
 
 // BenchmarkSOAPRoundTrip isolates the marshalling component of Table 4's
-// overhead at the paper's three payload scales (~8 B, ~5.7 KB, ~60 KB+),
-// under the hand-rolled codec (the production path) and the retained
-// legacy encoding/xml codec (the seed's path).
+// overhead at the paper's three payload scales (~8 B, ~5.7 KB, ~60 KB+)
+// through the hand-rolled codec, the one wire path.
 func BenchmarkSOAPRoundTrip(b *testing.B) {
-	for _, codec := range []string{"HandRolled", "Legacy"} {
-		for _, items := range []int{1, 80, 1000} {
-			b.Run(fmt.Sprintf("%s/items=%d", codec, items), func(b *testing.B) {
-				soap.SetLegacyCodec(codec == "Legacy")
-				defer soap.SetLegacyCodec(false)
-				vals := make([]string, items)
-				for i := range vals {
-					vals[i] = fmt.Sprintf("gflops|/Process/%d|hpl|0.0-132.5|%d.25", i, i)
+	for _, items := range []int{1, 80, 1000} {
+		b.Run(fmt.Sprintf("HandRolled/items=%d", items), func(b *testing.B) {
+			vals := make([]string, items)
+			for i := range vals {
+				vals[i] = fmt.Sprintf("gflops|/Process/%d|hpl|0.0-132.5|%d.25", i, i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				data, err := soap.EncodeResponse("getPR", nil, vals)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					data, err := soap.EncodeResponse("getPR", nil, vals)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := soap.DecodeResponse(data); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := soap.DecodeResponse(data); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -690,11 +685,10 @@ func BenchmarkMinidbBatch(b *testing.B) {
 }
 
 // BenchmarkColdGetPR measures one cold (cache-off) getPR through the
-// Execution service's wire encode per store shape: the vectorized
-// zero-intermediate path (batch decode into a pooled arena, results
-// streamed straight into the envelope buffer) against the retained
-// row-at-a-time/string oracle. This is the workload BENCH_PR5.json
-// records; allocs/op is the headline number.
+// Execution service's wire encode per store shape: batch decode into a
+// pooled arena, results streamed straight into the envelope buffer.
+// allocs/op is the headline number; the benchmark module's cold-getpr
+// workload measures the same path over a socket.
 func BenchmarkColdGetPR(b *testing.B) {
 	shapes := []struct {
 		name  string
@@ -727,23 +721,6 @@ func BenchmarkColdGetPR(b *testing.B) {
 		}
 		svc := core.NewExecutionService(id, ew, nil, nil)
 		params := q.WireParams()
-		b.Run(shape.name+"/oracle", func(b *testing.B) {
-			core.SetRowOracle(true)
-			defer core.SetRowOracle(false)
-			buf := soap.GetBuffer()
-			defer soap.PutBuffer(buf)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				returns, err := svc.Invoke(core.OpGetPR, params)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := soap.EncodeResponseTo(buf, core.OpGetPR, nil, returns); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(shape.name+"/vectorized", func(b *testing.B) {
 			buf := soap.GetBuffer()
 			defer soap.PutBuffer(buf)

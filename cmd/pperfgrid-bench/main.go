@@ -25,12 +25,6 @@
 //
 //	pperfgrid-bench -cache-bench -readers 1,4,16,64 -bench-json BENCH_PR4.json
 //
-// The cold-path evaluation — one cold (cache-off) getPR per store shape,
-// vectorized wire path vs the retained row/string oracle, with ns/op,
-// B/op, and allocs/op from the testing harness — runs via:
-//
-//	pperfgrid-bench -cold-bench -bench-json BENCH_PR5.json
-//
 // The million-row engine evaluation — open-loop latency-vs-offered-load
 // curves over the scale star schema plus the indexed-vs-naive range and
 // top-k speedups, every scenario differentially gated against the naive
@@ -86,8 +80,8 @@ import (
 
 func main() {
 	var (
-		table     = flag.Int("table", 0, "reproduce one table: 4 or 5")
-		figure    = flag.Int("figure", 0, "reproduce one figure: 12")
+		table     = flag.Int("table", 0, "reproduce one table: 4 or 5 (anything else is a usage error)")
+		figure    = flag.Int("figure", 0, "reproduce one figure: 12 (anything else is a usage error)")
 		ablations = flag.Bool("ablations", false, "run the ablation studies")
 		all       = flag.Bool("all", false, "run everything")
 		quick     = flag.Bool("quick", false, "reduced sample sizes")
@@ -97,7 +91,6 @@ func main() {
 		replicas  = flag.String("replicas", "1,2,4,8", "comma-separated replica host counts: Figure 12's scale-out axis; the policy ablation uses the largest")
 
 		cacheBench  = flag.Bool("cache-bench", false, "run only the concurrent cache evaluation (non-fatal shape checks, for CI smoke)")
-		coldBench   = flag.Bool("cold-bench", false, "run only the cold-path getPR evaluation (ns/op, B/op, allocs/op per store shape; vectorized vs row/string oracle)")
 		scaleBench  = flag.Bool("scale-bench", false, "run only the million-row engine evaluation (open-loop load curves + indexed-vs-naive speedups)")
 		mixedBench  = flag.Bool("mixed-bench", false, "run only the mixed read/write evaluation (live ingestion beside hot readers; throughput retention vs read-only)")
 		fedBench    = flag.Bool("federation-bench", false, "run only the federated scatter-gather evaluation (sites x WAN latency x failure rate; completeness, goodput, tail latency)")
@@ -110,7 +103,12 @@ func main() {
 	)
 	flag.Parse()
 
-	if !*all && *table == 0 && *figure == 0 && !*ablations && !*cacheBench && !*coldBench && !*scaleBench && !*mixedBench && !*fedBench && !*soakBench && !*durBench {
+	if err := checkSelection(*table, *figure); err != nil {
+		fmt.Fprintf(flag.CommandLine.Output(), "pperfgrid-bench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if !*all && *table == 0 && *figure == 0 && !*ablations && !*cacheBench && !*scaleBench && !*mixedBench && !*fedBench && !*soakBench && !*durBench {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -147,10 +145,6 @@ func main() {
 
 	if *cacheBench {
 		runCacheBench(t5c, cfg, *quick, *cacheBytes, *benchJSON)
-		return
-	}
-	if *coldBench {
-		runColdBench(*seed, *quick, *benchJSON)
 		return
 	}
 	if *scaleBench {
@@ -389,59 +383,6 @@ func serviceHitMicro() ([]cacheMicroRow, error) {
 		})
 	}
 	return out, nil
-}
-
-// coldBenchRecord is the BENCH_PR5.json schema: the cold-path getPR
-// comparison (vectorized vs retained row/string oracle) per store shape,
-// with the derived reduction ratios the acceptance criteria pin.
-type coldBenchRecord struct {
-	Record         string                       `json:"record"`
-	Workload       string                       `json:"workload"`
-	Cold           *experiment.Table4ColdReport `json:"coldGetPR"`
-	AllocReduction map[string]float64           `json:"allocReductionBySource"`
-	ByteReduction  map[string]float64           `json:"byteReductionBySource"`
-}
-
-// runColdBench runs the cold-path evaluation standalone. Shape checks
-// print but never fail the process (this mode is the CI smoke step);
-// the committed full-run BENCH_PR5.json records the reference numbers.
-func runColdBench(seed int64, quick bool, jsonPath string) {
-	fmt.Println("=== Cold-path getPR evaluation (cache off) ===")
-	cfg := experiment.Table4ColdConfig{Seed: seed}
-	if quick {
-		cfg.SMG98 = datagen.SMG98Config{Executions: 2, Processes: 2, TimeBins: 8}
-	}
-	report, err := experiment.RunTable4Cold(cfg)
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: cold bench: %v", err)
-	}
-	fmt.Print(report.Render())
-
-	if jsonPath == "" {
-		return
-	}
-	rec := coldBenchRecord{
-		Record:         "PR5 cold-path overhaul perf trajectory",
-		Workload:       "cold getPR (cache off), representative query per store shape, full wire encode",
-		Cold:           report,
-		AllocReduction: map[string]float64{},
-		ByteReduction:  map[string]float64{},
-	}
-	for _, name := range experiment.AllSourceNames {
-		if r := report.AllocReduction(name); r > 0 {
-			rec.AllocReduction[name] = r
-			rec.ByteReduction[name] = report.ByteReduction(name)
-		}
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: marshal bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		log.Fatalf("pperfgrid-bench: write %s: %v", jsonPath, err)
-	}
-	fmt.Printf("\nwrote %s\n", jsonPath)
 }
 
 // scaleBenchRecord is the BENCH_PR6.json schema: the open-loop
@@ -794,13 +735,26 @@ func splitList(s string) []string {
 	return out
 }
 
+// checkSelection rejects a -table or -figure this command does not
+// reproduce (0 means none selected), so a typo fails instead of running
+// nothing and exiting 0.
+func checkSelection(table, figure int) error {
+	if table != 0 && table != 4 && table != 5 {
+		return fmt.Errorf("-table %d: only tables 4 and 5 are reproduced", table)
+	}
+	if figure != 0 && figure != 12 {
+		return fmt.Errorf("-figure %d: only figure 12 is reproduced", figure)
+	}
+	return nil
+}
+
 // parseInts parses a comma-separated list of positive integers.
 func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, part := range splitList(s) {
 		n, err := strconv.Atoi(part)
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad replica count %q", part)
+			return nil, fmt.Errorf("bad count %q: want a positive integer", part)
 		}
 		out = append(out, n)
 	}
@@ -832,24 +786,6 @@ func runAblations(cfg experiment.Config, quick bool, policies []string, replicas
 		log.Fatalf("pperfgrid-bench: soap sweep: %v", err)
 	}
 	fmt.Print(experiment.RenderSOAPOverhead(points))
-	fmt.Println()
-
-	codecPoints, err := experiment.RunTransportCodecSweep(counts, 64, rounds)
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: transport codec sweep: %v", err)
-	}
-	fmt.Print(experiment.RenderTransportCodecSweep(codecPoints))
-	fmt.Println()
-
-	t4 := experiment.Table4Config{Config: cfg}
-	if quick {
-		t4.QueriesPerSource = 5
-	}
-	transportReport, err := experiment.RunTransportTable4(t4)
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: transport table4: %v", err)
-	}
-	fmt.Print(transportReport.Render())
 	fmt.Println()
 
 	execs, repeats := 32, 5

@@ -1,12 +1,14 @@
 package core
 
-// Differential tests for the cold getPR overhaul: the vectorized,
+// Differential tests for the cold getPR path: the vectorized,
 // zero-intermediate wire path (mapping.ResultAppender + the soap
 // streaming encoder, which Serve takes for uncached instances — through
 // InvokeRawToContext unpaged, one encoded page per paged call) must
 // produce byte-identical envelopes and identical result sets to the
-// retained row-at-a-time / string-building oracle (SetRowOracle), on the
-// full and paged protocols, for every store shape.
+// row-at-a-time / string-building oracle, on the full and paged
+// protocols, for every store shape. The oracle lives here: a service over
+// an oracleWrapper fetches row by row, and its envelopes are built from
+// its results with perfdata.EncodeResults + soap.EncodeResponse.
 
 import (
 	"bytes"
@@ -72,25 +74,57 @@ func coldShapes(t *testing.T) map[string]struct {
 	}
 }
 
-// oracleEnvelope renders the envelope exactly as the transport does on
-// the retained string path: Invoke -> EncodeResults -> EncodeResponse.
-func oracleEnvelope(t *testing.T, svc *ExecutionService, q perfdata.Query) []byte {
+// oracleWrapper hides a wrapper's vectorized path (mapping.ResultAppender),
+// so a service over it fetches getPR results the row-at-a-time way.
+type oracleWrapper struct{ mapping.ExecutionWrapper }
+
+// oracleStreamer is an oracleWrapper that forwards the inner wrapper's row
+// stream (mapping.ResultStreamer).
+type oracleStreamer struct {
+	oracleWrapper
+	s mapping.ResultStreamer
+}
+
+func (o oracleStreamer) StreamPerformanceResults(q perfdata.Query, yield func(perfdata.Result) error) error {
+	return o.s.StreamPerformanceResults(q, yield)
+}
+
+// newOracleService builds an uncached service over w with the
+// vectorized path hidden: it streams rows when w can, and otherwise
+// answers through w's plain PerformanceResults.
+func newOracleService(t *testing.T, id string, w mapping.ExecutionWrapper) *ExecutionService {
 	t.Helper()
-	SetRowOracle(true)
-	defer SetRowOracle(false)
+	var ow mapping.ExecutionWrapper = oracleWrapper{w}
+	if s, ok := w.(mapping.ResultStreamer); ok {
+		ow = oracleStreamer{oracleWrapper{w}, s}
+	}
+	svc := NewExecutionService(id, ow, nil, nil)
 	var buf bytes.Buffer
-	if took, err := svc.InvokeRawToContext(context.Background(), OpGetPR, q.WireParams(), &buf); took || err != nil {
-		t.Fatalf("raw streamer must decline under the row oracle (took=%v err=%v)", took, err)
+	if took, err := svc.InvokeRawToContext(context.Background(), OpGetPR, nil, &buf); took || err != nil {
+		t.Fatalf("raw streamer must decline over the row oracle (took=%v err=%v)", took, err)
 	}
-	returns, err := svc.Invoke(OpGetPR, q.WireParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := soap.EncodeResponse(OpGetPR, nil, returns)
+	return svc
+}
+
+// oracleEncode renders results the string way: perfdata.EncodeResults,
+// then the generic response encode.
+func oracleEncode(t *testing.T, headers []soap.HeaderEntry, rs []perfdata.Result) []byte {
+	t.Helper()
+	env, err := soap.EncodeResponse(OpGetPR, headers, perfdata.EncodeResults(rs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return env
+}
+
+// oracleEnvelope renders the oracle's unpaged getPR envelope for q.
+func oracleEnvelope(t *testing.T, id string, w mapping.ExecutionWrapper, q perfdata.Query) []byte {
+	t.Helper()
+	rs, err := newOracleService(t, id, w).PerformanceResults(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oracleEncode(t, nil, rs)
 }
 
 func TestColdWireEnvelopeByteIdentical(t *testing.T) {
@@ -102,7 +136,7 @@ func TestColdWireEnvelopeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			svc := NewExecutionService(shape.id, ew, nil, nil)
-			want := oracleEnvelope(t, svc, shape.q)
+			want := oracleEnvelope(t, shape.id, ew, shape.q)
 
 			buf := soap.GetBuffer()
 			defer soap.PutBuffer(buf)
@@ -130,8 +164,8 @@ func TestColdWireEnvelopeByteIdentical(t *testing.T) {
 
 // TestColdPagedEnvelopeByteIdentical pages the same query through two
 // fresh services (so cursor tokens align) — one on the vectorized raw
-// paged path, one on the string protocol rendered exactly as the
-// transport would — and requires byte-identical envelopes page by page.
+// paged path, the row oracle's pages rendered the string way — and
+// requires byte-identical envelopes page by page.
 func TestColdPagedEnvelopeByteIdentical(t *testing.T) {
 	for name, shape := range coldShapes(t) {
 		shape := shape
@@ -145,7 +179,7 @@ func TestColdPagedEnvelopeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			fast := NewExecutionService(shape.id, ewA, nil, nil)
-			oracle := NewExecutionService(shape.id, ewB, nil, nil)
+			oracle := newOracleService(t, shape.id, ewB)
 
 			const limit = 7
 			cursorF, cursorO := "", ""
@@ -165,20 +199,15 @@ func TestColdPagedEnvelopeByteIdentical(t *testing.T) {
 				}
 				next, _ := resp.Header(ogsi.HeaderCursor)
 
-				SetRowOracle(true)
-				returns, nextO, oerr := servePage(context.Background(), oracle, OpGetPR, shape.q.WireParams(), cursorO, limit)
-				SetRowOracle(false)
-				if oerr != nil {
-					t.Fatal(oerr)
+				page, nextO, err := oracle.pagedResults(context.Background(), shape.q.WireParams(), cursorO, limit)
+				if err != nil {
+					t.Fatal(err)
 				}
 				var headers []soap.HeaderEntry
 				if nextO != "" {
 					headers = []soap.HeaderEntry{{Name: ogsi.HeaderCursor, Value: nextO}}
 				}
-				want, err := soap.EncodeResponse(OpGetPR, headers, returns)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := oracleEncode(t, headers, page)
 				if !bytes.Equal(reply.Raw, want) {
 					t.Fatalf("page %d envelope diverges (%d vs %d bytes)", pages, len(reply.Raw), len(want))
 				}
@@ -216,11 +245,9 @@ func TestColdResultSetMatchesOracle(t *testing.T) {
 			}
 			svc := NewExecutionService(shape.id, ew, nil, nil)
 
-			SetRowOracle(true)
-			want, werr := svc.PerformanceResults(shape.q)
-			SetRowOracle(false)
-			if werr != nil {
-				t.Fatal(werr)
+			want, err := newOracleService(t, shape.id, ew).PerformanceResults(shape.q)
+			if err != nil {
+				t.Fatal(err)
 			}
 
 			buf := soap.GetBuffer()
@@ -267,7 +294,7 @@ func TestColdCachedRawMatchesOracleBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracleEnvelope(t, NewExecutionService(shape.id, ew2, nil, nil), shape.q)
+	want := oracleEnvelope(t, shape.id, ew2, shape.q)
 	if !bytes.Equal(raw, want) {
 		t.Fatalf("cached-miss streamed envelope diverges from oracle (%d vs %d bytes)", len(raw), len(want))
 	}
@@ -284,8 +311,8 @@ func TestColdCachedRawMatchesOracleBytes(t *testing.T) {
 }
 
 // TestColdPathAllocs pins the acceptance criterion at the service level:
-// the vectorized cold path must allocate at least 5x less (and half the
-// bytes) of the retained row/string oracle on an SMG98-shaped query.
+// the vectorized cold path must allocate at least 5x less than the
+// row/string oracle on an SMG98-shaped query.
 func TestColdPathAllocs(t *testing.T) {
 	shape := coldShapes(t)["SMG98-star"]
 	ew, err := shape.build()
@@ -293,17 +320,16 @@ func TestColdPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewExecutionService(shape.id, ew, nil, nil)
+	oracleSvc := newOracleService(t, shape.id, ew)
 	params := shape.q.WireParams()
 
 	measure := func(oracle bool) (allocs float64) {
-		SetRowOracle(oracle)
-		defer SetRowOracle(false)
 		buf := soap.GetBuffer()
 		defer soap.PutBuffer(buf)
 		run := func() {
 			buf.Reset()
 			if oracle {
-				returns, err := svc.Invoke(OpGetPR, params)
+				returns, err := oracleSvc.Invoke(OpGetPR, params)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -18,24 +18,6 @@ import (
 	"pperfgrid/internal/soap"
 )
 
-// rowOracle routes the getPR read path through the retained
-// row-at-a-time, string-building implementation when set: fetchResults
-// streams row by row instead of batch-decoding, and every envelope Serve
-// would stream takes the string route instead (perfdata.EncodeResults +
-// the generic response encode). It is the differential oracle and
-// ablation hook of the cold-path overhaul, mirroring soap.SetLegacyCodec
-// one layer up. Not intended for concurrent toggling.
-var rowOracle atomic.Bool
-
-// SetRowOracle switches the package between the vectorized cold path
-// (false, the default) and the retained row/string path (true). The two
-// produce byte-identical wire envelopes — differential tests pin it —
-// so only the cost differs.
-func SetRowOracle(enabled bool) { rowOracle.Store(enabled) }
-
-// RowOracle reports whether the oracle hook is on.
-func RowOracle() bool { return rowOracle.Load() }
-
 // encScratchPool recycles the per-request scratch slice the streaming
 // encoders render each result into (one reused buffer per envelope, not
 // one string per result).
@@ -282,9 +264,10 @@ func (e *ExecutionService) InvokeContext(ctx context.Context, op string, params 
 //     served verbatim (InvokeRawContext);
 //   - unpaged getPR on an uncached mapping.ResultAppender: the envelope
 //     encoded straight into buf (InvokeRawToContext);
-//   - paged getPR: one page behind a cursor (servePage);
-//   - everything else, and the row-oracle / legacy-codec hooks: string
-//     values for the transport to encode (InvokeContext).
+//   - paged getPR: one page behind a cursor, encoded into buf (servePage);
+//   - everything else, including unpaged getPR on an uncached wrapper
+//     without a vectorized path (the XML store): string values for the
+//     transport to encode (InvokeContext).
 func (e *ExecutionService) Serve(ctx context.Context, c ogsi.Call, buf *bytes.Buffer) (ogsi.Reply, error) {
 	if c.Op == OpGetPR {
 		if c.Paged {
@@ -308,17 +291,13 @@ func (e *ExecutionService) Serve(ctx context.Context, c ogsi.Call, buf *bytes.Bu
 // servePage answers one page of a paged getPR: large result sets flow to
 // the client in chunks instead of one giant envelope, the cursor
 // travelling in a SOAP header entry. The page encodes straight into buf,
-// cursor entry included, with no per-result intermediate strings; under
-// the row-oracle and legacy-codec hooks it goes back as strings for the
-// transport to encode, so ablations measure the string path end to end.
-// Both produce the same envelope bytes (differential tests pin it).
+// cursor entry included, with no per-result intermediate strings; the
+// bytes equal the string route's (perfdata.EncodeResults + the generic
+// response encode), which differential tests pin.
 func (e *ExecutionService) servePage(ctx context.Context, c ogsi.Call, buf *bytes.Buffer) (ogsi.Reply, error) {
 	page, next, err := e.pagedResults(ctx, c.Params, c.Cursor, c.Limit)
 	if err != nil {
 		return ogsi.Reply{}, err
-	}
-	if rowOracle.Load() || soap.LegacyCodec() {
-		return ogsi.Reply{Values: perfdata.EncodeResults(page), Next: next}, nil
 	}
 	var headers []soap.HeaderEntry
 	if next != "" {
@@ -474,12 +453,14 @@ func (e *ExecutionService) continueCursor(id string, limit int) ([]perfdata.Resu
 	if !ok {
 		return nil, "", fmt.Errorf("core: unknown or expired getPR cursor %q", id)
 	}
-	end := c.offset + limit
-	if end >= len(c.rs) {
+	// Compare against what is left rather than adding limit to the offset:
+	// the page size comes off the wire, and a huge one would overflow.
+	if limit >= len(c.rs)-c.offset {
 		page := c.rs[c.offset:]
 		e.dropCursorLocked(id)
 		return page, "", nil
 	}
+	end := c.offset + limit
 	page := c.rs[c.offset:end]
 	c.offset = end
 	_, _, ttl := e.cursorBudgetsLocked()
@@ -563,14 +544,9 @@ func (e *ExecutionService) InvokeRawContext(ctx context.Context, op string, para
 func (e *ExecutionService) WireEncodes() int64 { return e.wireEncodes.Load() }
 
 // encodeResults renders one owned getPR response envelope (the form the
-// encoded-response cache retains). The vectorized path streams each
-// result's bytes straight into a pooled buffer; under the row-oracle or
-// legacy-codec hooks it takes the retained string route instead. Both
-// emit identical bytes.
+// encoded-response cache retains), streaming each result's bytes
+// straight into a pooled buffer.
 func (e *ExecutionService) encodeResults(rs []perfdata.Result) ([]byte, error) {
-	if rowOracle.Load() || soap.LegacyCodec() {
-		return soap.EncodeResponse(OpGetPR, nil, perfdata.EncodeResults(rs))
-	}
 	buf := soap.GetBuffer()
 	defer soap.PutBuffer(buf)
 	if err := encodeResultsTo(buf, nil, rs); err != nil {
@@ -585,15 +561,12 @@ func (e *ExecutionService) encodeResults(rs []perfdata.Result) ([]byte, error) {
 // encodes into the transport's buffer, and the arena recycles:
 // steady-state cold queries materialize no per-row values, no per-result
 // strings, and no owned envelope slice. It declines (false, buf untouched)
-// for cached instances, whose envelope must be retained for the cache, for
-// the row-oracle and legacy-codec hooks, and for wrappers without a
-// vectorized path. The context is checked at the store boundary — an
-// expired request never reaches the Mapping Layer.
+// for other operations, for cached instances, whose envelope must be
+// retained for the cache, and for wrappers without a vectorized path. The
+// context is checked at the store boundary — an expired request never
+// reaches the Mapping Layer.
 func (e *ExecutionService) InvokeRawToContext(ctx context.Context, op string, params []string, buf *bytes.Buffer) (bool, error) {
-	if op != OpGetPR || rowOracle.Load() || soap.LegacyCodec() {
-		return false, nil
-	}
-	if e.cacheRef() != nil {
+	if op != OpGetPR || e.cacheRef() != nil {
 		return false, nil
 	}
 	a, ok := e.wrapper.(mapping.ResultAppender)
@@ -886,11 +859,11 @@ func (e *ExecutionService) CoalescedQueries() int64 { return e.coalesced.Load() 
 // with a vectorized path (mapping.ResultAppender — the relational
 // wrappers decode minidb's column-oriented batches, the flat-file
 // wrapper filters during its byte-level re-parse) append straight into a
-// pre-sized slice the cache can retain; streaming wrappers
-// (mapping.ResultStreamer) decode row by row into the same slice. The
-// row-oracle hook forces the streaming path, the differential baseline
-// of the cold-path overhaul. The returned slice is freshly allocated —
-// never an arena — because the cache (and callers) retain it.
+// pre-sized slice the cache can retain; wrappers with only a row stream
+// (mapping.ResultStreamer) decode row by row; the rest — the XML store —
+// answer through plain PerformanceResults. The wrapper's type alone picks
+// the path. The returned slice is freshly allocated — never an arena —
+// because the cache (and callers) retain it.
 //
 // The context gate here is the "never reaches the Mapping Layer"
 // boundary: an already-expired request is turned away before any store
@@ -899,21 +872,19 @@ func (e *ExecutionService) fetchResults(ctx context.Context, q perfdata.Query) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !rowOracle.Load() {
-		if a, ok := e.wrapper.(mapping.ResultAppender); ok {
-			rs, err := a.AppendPerformanceResults(q, make([]perfdata.Result, 0, e.resultsHint()))
-			if err == nil {
-				e.noteResultLen(len(rs))
-			}
-			// The caller (and the cache, whose byte budget charges len, not
-			// cap) retains this slice: when the hint badly over-shot — a
-			// small query after a large one — hand back a right-sized copy
-			// instead of pinning the oversized backing array.
-			if excess := cap(rs) - len(rs); excess > 32 && cap(rs) > len(rs)+len(rs)/4 {
-				rs = append(make([]perfdata.Result, 0, len(rs)), rs...)
-			}
-			return rs, err
+	if a, ok := e.wrapper.(mapping.ResultAppender); ok {
+		rs, err := a.AppendPerformanceResults(q, make([]perfdata.Result, 0, e.resultsHint()))
+		if err == nil {
+			e.noteResultLen(len(rs))
 		}
+		// The caller (and the cache, whose byte budget charges len, not
+		// cap) retains this slice: when the hint badly over-shot — a
+		// small query after a large one — hand back a right-sized copy
+		// instead of pinning the oversized backing array.
+		if excess := cap(rs) - len(rs); excess > 32 && cap(rs) > len(rs)+len(rs)/4 {
+			rs = append(make([]perfdata.Result, 0, len(rs)), rs...)
+		}
+		return rs, err
 	}
 	if s, ok := e.wrapper.(mapping.ResultStreamer); ok {
 		return mapping.CollectResults(s, q)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -210,6 +212,58 @@ func TestCursorBudgetsEvict(t *testing.T) {
 	}
 	if _, _, err := servePage(context.Background(), svc, OpGetPR, nil, curD, 1); err == nil {
 		t.Fatal("byte-evicted cursor still live")
+	}
+}
+
+// TestHugePageSizeContinuation: over a real socket to a one-worker site, a
+// cursor continuation asking for a ppg-pageSize of MaxInt64 gets the
+// remainder as a terminal page instead of an overflowed slice bound, and
+// the site then still answers an ordinary getPR — its only worker slot
+// came back.
+func TestHugePageSizeContinuation(t *testing.T) {
+	rma := datagen.PrestaRMA(datagen.RMAConfig{Executions: 1, MessageSizes: 8, Seed: 24})
+	site, err := StartSite(SiteConfig{
+		AppName:  rma.Name,
+		Wrappers: []mapping.ApplicationWrapper{mapping.NewMemory(rma)},
+		Workers:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer site.Close()
+	app, err := container.Dial(site.ApplicationFactoryHandle()).CreateService()
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles, err := app.Call(OpGetAllExecs)
+	if err != nil || len(handles) == 0 {
+		t.Fatalf("getAllExecs: %v (%d handles)", err, len(handles))
+	}
+	exec, err := container.DialString(handles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := perfdata.Query{Metric: "bandwidth", Time: rma.Execs[0].Time, Type: perfdata.UndefinedType}.WireParams()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	all, err := exec.CallContext(ctx, OpGetPR, params...)
+	if err != nil || len(all) <= 3 {
+		t.Fatalf("getPR: %d values, %v; want more than one page of 3", len(all), err)
+	}
+	first, next, err := exec.CallPagedContext(ctx, OpGetPR, "", 3, params...)
+	if err != nil || len(first) != 3 || next == "" {
+		t.Fatalf("page 1: %d values, cursor %q, %v; want 3 values and a cursor", len(first), next, err)
+	}
+	rest, next, err := exec.CallPagedContext(ctx, OpGetPR, next, math.MaxInt64, params...)
+	if err != nil {
+		t.Errorf("continuation with page size MaxInt64: %v", err)
+	} else if next != "" || !reflect.DeepEqual(append(first, rest...), all) {
+		t.Errorf("continuation: %d values, cursor %q; want the remaining %d values and no cursor", len(rest), next, len(all)-3)
+	}
+	again, err := exec.CallContext(ctx, OpGetPR, params...)
+	if err != nil || !reflect.DeepEqual(again, all) {
+		t.Fatalf("getPR after the continuation: %d values, %v; want the site's worker back", len(again), err)
 	}
 }
 

@@ -17,6 +17,7 @@ package soap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/xml"
 	"errors"
 	"io"
@@ -239,8 +240,14 @@ var errNotCanonical = errors.New("soap: not in canonical form")
 
 // fastDecode parses a canonical envelope (the exact byte shape our
 // encoders produce). Any deviation returns errNotCanonical so the caller
-// retries with the tolerant legacy decoder.
+// retries with the tolerant legacy decoder. So does anything encoding/xml
+// would reject or rewrite, which the encoders never emit: characters
+// outside the XML range, a raw '\r' (folded to '\n' there), "]]>" in text
+// and '<' in an attribute — falling back never changes an answer.
 func fastDecode(data []byte, itemName string) (*decoded, error) {
+	if !xmlChars(data) || bytes.Contains(data, cdataEnd) {
+		return nil, errNotCanonical
+	}
 	s := scanner{b: data}
 	if !s.lit(xml.Header) || !s.lit(envelopeOpen) {
 		return nil, errNotCanonical
@@ -328,6 +335,8 @@ func (s *scanner) until(stop byte) (string, bool) {
 
 // textUntil consumes escaped character data up to (but not past) the next
 // occurrence of stop, resolving entities exactly as encoding/xml does.
+// stop '<' reads element text, stop '"' an attribute value, which must
+// not hold a raw '<'.
 func (s *scanner) textUntil(stop byte) (string, bool) {
 	j := bytes.IndexByte(s.b[s.i:], stop)
 	if j < 0 {
@@ -337,11 +346,49 @@ func (s *scanner) textUntil(stop byte) (string, bool) {
 	s.i += j
 	if stop != '<' {
 		s.i++ // consume the stop byte (attribute-closing quote)
+		if bytes.IndexByte(seg, '<') >= 0 {
+			return "", false
+		}
 	}
 	if bytes.IndexByte(seg, '&') < 0 {
 		return string(seg), true
 	}
 	return unescape(seg)
+}
+
+// cdataEnd may not appear raw in XML text.
+var cdataEnd = []byte("]]>")
+
+// xmlChars reports whether s is valid UTF-8 made only of XML characters
+// other than '\r'. Sixteen printable ASCII bytes at a time take one test:
+// no byte has its high bit set or lies below 0x20. A borrow spreads only
+// upward from a byte that really is below 0x20, so the test can raise a
+// false alarm (settled byte by byte) but never misses one.
+func xmlChars(s []byte) bool {
+	const lo, hi = 0x2020202020202020, 0x8080808080808080
+	for len(s) > 0 {
+		if len(s) >= 16 {
+			a := binary.LittleEndian.Uint64(s)
+			b := binary.LittleEndian.Uint64(s[8:])
+			if (a|(a-lo)|b|(b-lo))&hi == 0 {
+				s = s[16:]
+				continue
+			}
+		}
+		switch c := s[0]; {
+		case c >= 0x20 && c < utf8.RuneSelf, c == '\t', c == '\n':
+			s = s[1:]
+		case c < utf8.RuneSelf:
+			return false
+		default:
+			r, size := utf8.DecodeRune(s)
+			if r == utf8.RuneError && size == 1 || !inCharacterRange(r) {
+				return false
+			}
+			s = s[size:]
+		}
+	}
+	return true
 }
 
 // unescape resolves the entity forms the encoder can emit (the five named
@@ -385,12 +432,14 @@ func unescape(seg []byte) (string, bool) {
 }
 
 // charRef parses a numeric character reference body ("#xA", "#39", ...).
+// Like encoding/xml it takes only a lowercase 'x' for hex, and it declines
+// references to characters outside the XML range.
 func charRef(ent string) (rune, bool) {
 	if len(ent) < 2 || ent[0] != '#' {
 		return 0, false
 	}
 	base, digits := 10, ent[1:]
-	if digits[0] == 'x' || digits[0] == 'X' {
+	if digits[0] == 'x' {
 		base, digits = 16, digits[1:]
 	}
 	if digits == "" {
@@ -415,5 +464,5 @@ func charRef(ent string) (rune, bool) {
 			return 0, false
 		}
 	}
-	return n, true
+	return n, inCharacterRange(n)
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // randomWireString builds strings that exercise every escaping path:
@@ -189,27 +190,6 @@ func TestStreamingEncodersMatchByteAPIs(t *testing.T) {
 	}
 }
 
-// TestLegacyCodecSwitch: the experiment hook must route the public
-// encoders through the oracle and back.
-func TestLegacyCodecSwitch(t *testing.T) {
-	SetLegacyCodec(true)
-	defer SetLegacyCodec(false)
-	if !LegacyCodec() {
-		t.Fatal("flag did not latch")
-	}
-	data, err := EncodeResponse("getPR", nil, []string{"v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := LegacyEncodeResponse("getPR", nil, []string{"v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, want) {
-		t.Fatal("legacy switch not honoured")
-	}
-}
-
 // TestDecodeTruncatedEnvelopes: every prefix of a valid envelope cut
 // before the Body closes must fail with ErrMalformed (never panic, never
 // succeed) — the truncated-body fault-path requirement. Cuts after the
@@ -229,6 +209,31 @@ func TestDecodeTruncatedEnvelopes(t *testing.T) {
 			t.Fatalf("truncated envelope (%d/%d bytes) decoded successfully", cut, len(data))
 		} else if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("truncated envelope (%d bytes): error %v is not ErrMalformed", cut, err)
+		}
+	}
+}
+
+// TestXMLCharsMatchesRuneScan pins the sixteen-bytes-at-a-time test to a
+// rune-by-rune scan, with each probe character placed at every offset of a
+// printable ASCII run.
+func TestXMLCharsMatchesRuneScan(t *testing.T) {
+	ref := func(s []byte) bool {
+		for len(s) > 0 {
+			r, size := utf8.DecodeRune(s)
+			if r == utf8.RuneError && size == 1 || r == '\r' || !inCharacterRange(r) {
+				return false
+			}
+			s = s[size:]
+		}
+		return true
+	}
+	base := []byte(strings.Repeat("gflops|/P ~", 4))
+	for _, probe := range []string{"\x00", "\x1f", "\r", "\t", "\n", "\x7f", "\xff", "é", "\uFFFE", "\U0001F600"} {
+		for i := 0; i <= len(base); i++ {
+			s := append(append(append([]byte{}, base[:i]...), probe...), base[i:]...)
+			if got, want := xmlChars(s), ref(s); got != want {
+				t.Fatalf("xmlChars(%q) = %v, rune scan says %v", s, got, want)
+			}
 		}
 	}
 }

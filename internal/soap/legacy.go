@@ -1,13 +1,12 @@
 package soap
 
 // This file is the original reflection-based encoding/xml codec, retained
-// for two jobs after the hand-rolled codec in codec.go took over the hot
+// for two jobs after the hand-rolled codec in codec.go took over the wire
 // path:
 //
-//   - Oracle: differential tests assert the fast encoder emits
-//     byte-identical envelopes, and experiments (the transport ablation,
-//     SetLegacyCodec) measure the before/after overhead split of
-//     Table 4 end to end.
+//   - Oracle: LegacyEncode* is the reference the differential tests hold
+//     the wire encoder to, byte for byte. Nothing on the wire path calls
+//     it.
 //   - Fallback decoder: the strict fast decoder hands any non-canonical
 //     document (foreign whitespace, comments, CDATA, faults, malformed
 //     input) to decodeEnvelope below, so tolerance and error reporting are

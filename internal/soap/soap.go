@@ -14,10 +14,12 @@
 // The encode/decode work done here is the "marshalling/encoding" half of
 // the architecture-adapter pattern described in the paper's Services Layer,
 // and it was the principal source of the grid-services overhead measured in
-// Table 4 — which is why the hot path no longer uses reflection: codec.go
-// holds a hand-rolled streaming encoder/decoder for the fixed envelope
-// shapes, and legacy.go retains the original encoding/xml implementation
-// as the differential-test oracle and tolerant-decode fallback.
+// Table 4 — which is why the wire path does not use reflection: codec.go
+// holds the one hand-rolled streaming encoder and the strict decoder for
+// the fixed envelope shapes. legacy.go keeps the original encoding/xml
+// implementation for two jobs only: its tolerant decoder is the fallback
+// for any envelope the strict decoder declines, and its encoders are the
+// reference the differential tests compare the wire encoder against.
 package soap
 
 import (
@@ -25,7 +27,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -155,23 +156,6 @@ func AsOverload(err error) (time.Duration, bool) {
 // envelope of the expected shape.
 var ErrMalformed = errors.New("soap: malformed envelope")
 
-// legacyCodec routes Encode*/Decode* through the retained encoding/xml
-// codec when set — an experiment hook (see SetLegacyCodec), not a
-// production mode.
-var legacyCodec atomic.Bool
-
-// SetLegacyCodec switches the package-level codec between the hand-rolled
-// implementation (false, the default) and the retained encoding/xml
-// implementation (true) — encoders and decoders both, so end-to-end
-// measurements exercise the old wire path on every byte. The two emit
-// byte-identical envelopes; only the cost differs. The transport ablation
-// in internal/experiment flips this around a full Table 4 run to measure
-// the before/after overhead split. Not intended for concurrent toggling.
-func SetLegacyCodec(enabled bool) { legacyCodec.Store(enabled) }
-
-// LegacyCodec reports whether the experiment hook is on.
-func LegacyCodec() bool { return legacyCodec.Load() }
-
 // operationNameOK reports whether s is usable as an XML element local name.
 func operationNameOK(s string) bool {
 	if s == "" {
@@ -193,9 +177,6 @@ func operationNameOK(s string) bool {
 
 // EncodeRequest serializes an RPC request envelope.
 func EncodeRequest(op string, headers []HeaderEntry, params []string) ([]byte, error) {
-	if legacyCodec.Load() {
-		return LegacyEncodeRequest(op, headers, params)
-	}
 	if !operationNameOK(op) {
 		return nil, fmt.Errorf("soap: invalid operation name %q", op)
 	}
@@ -205,9 +186,6 @@ func EncodeRequest(op string, headers []HeaderEntry, params []string) ([]byte, e
 // EncodeResponse serializes an RPC response envelope for the given
 // operation. The wire element is named <op>Response per SOAP convention.
 func EncodeResponse(op string, headers []HeaderEntry, returns []string) ([]byte, error) {
-	if legacyCodec.Load() {
-		return LegacyEncodeResponse(op, headers, returns)
-	}
 	if !operationNameOK(op) {
 		return nil, fmt.Errorf("soap: invalid operation name %q", op)
 	}
@@ -216,9 +194,6 @@ func EncodeResponse(op string, headers []HeaderEntry, returns []string) ([]byte,
 
 // EncodeFault serializes a Fault envelope.
 func EncodeFault(f *Fault) ([]byte, error) {
-	if legacyCodec.Load() {
-		return LegacyEncodeFault(f)
-	}
 	return encodeToBytes(nil, "", "", nil, f)
 }
 
@@ -236,18 +211,8 @@ func encodeToBytes(headers []HeaderEntry, bodyElem, itemElem string, items []str
 }
 
 // EncodeRequestTo streams an RPC request envelope directly to w (the
-// zero-copy path for transports that own a write buffer). It honours the
-// SetLegacyCodec experiment hook so end-to-end ablations exercise the
-// old codec on every byte of the wire path.
+// zero-copy path for transports that own a write buffer).
 func EncodeRequestTo(w stringWriter, op string, headers []HeaderEntry, params []string) error {
-	if legacyCodec.Load() {
-		data, err := LegacyEncodeRequest(op, headers, params)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(data)
-		return err
-	}
 	if !operationNameOK(op) {
 		return fmt.Errorf("soap: invalid operation name %q", op)
 	}
@@ -256,14 +221,6 @@ func EncodeRequestTo(w stringWriter, op string, headers []HeaderEntry, params []
 
 // EncodeResponseTo streams an RPC response envelope directly to w.
 func EncodeResponseTo(w stringWriter, op string, headers []HeaderEntry, returns []string) error {
-	if legacyCodec.Load() {
-		data, err := LegacyEncodeResponse(op, headers, returns)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(data)
-		return err
-	}
 	if !operationNameOK(op) {
 		return fmt.Errorf("soap: invalid operation name %q", op)
 	}
@@ -287,10 +244,8 @@ type decoded struct {
 // canonical shape every PPerfGrid peer emits), falling back to the
 // tolerant legacy decoder for anything else.
 func decodeAny(data []byte, itemName string) (*decoded, error) {
-	if !legacyCodec.Load() {
-		if d, err := fastDecode(data, itemName); err == nil {
-			return d, nil
-		}
+	if d, err := fastDecode(data, itemName); err == nil {
+		return d, nil
 	}
 	return decodeEnvelope(data, itemName)
 }

@@ -17,16 +17,9 @@ package soap
 import (
 	"bytes"
 	"encoding/xml"
-	"errors"
 	"fmt"
 	"unicode/utf8"
 )
-
-// ErrStreamUnavailable reports that the streaming encoder cannot run
-// because the legacy codec experiment hook is active; callers fall back
-// to the string-based encode so ablations measure the old path end to
-// end.
-var ErrStreamUnavailable = errors.New("soap: streaming encoder disabled under the legacy codec")
 
 // ResponseEncoder streams one RPC response envelope:
 //
@@ -45,12 +38,8 @@ type ResponseEncoder struct {
 }
 
 // Begin writes the envelope through the opening <ppg:<op>Response> tag.
-// It fails under the legacy-codec hook (ErrStreamUnavailable) and on
-// invalid operation names, before any bytes are written.
+// It fails on invalid operation names, before any bytes are written.
 func (e *ResponseEncoder) Begin(w stringWriter, op string, headers []HeaderEntry) error {
-	if legacyCodec.Load() {
-		return ErrStreamUnavailable
-	}
 	if !operationNameOK(op) {
 		return fmt.Errorf("soap: invalid operation name %q", op)
 	}

@@ -83,6 +83,9 @@ func TestResponseEncoderByteIdentical(t *testing.T) {
 	}
 }
 
+// TestResponseEncoderRejectsBadOpAndLegacy: a bad operation name fails
+// Begin before any byte is written, and the same encoder then streams an
+// envelope identical to the legacy oracle's.
 func TestResponseEncoderRejectsBadOpAndLegacy(t *testing.T) {
 	var buf bytes.Buffer
 	var enc ResponseEncoder
@@ -92,10 +95,19 @@ func TestResponseEncoderRejectsBadOpAndLegacy(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("failed Begin wrote %d bytes", buf.Len())
 	}
-	SetLegacyCodec(true)
-	defer SetLegacyCodec(false)
-	if err := enc.Begin(&buf, "getPR", nil); err != ErrStreamUnavailable {
-		t.Fatalf("want ErrStreamUnavailable under legacy codec, got %v", err)
+	if err := enc.Begin(&buf, "getPR", nil); err != nil {
+		t.Fatal(err)
+	}
+	enc.Return("a<b")
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := LegacyEncodeResponse("getPR", nil, []string{"a<b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("streamed envelope diverges from the legacy oracle:\nstream %q\noracle %q", buf.Bytes(), want)
 	}
 }
 
