@@ -407,8 +407,9 @@ func BenchmarkFlatfileParse(b *testing.B) {
 // instance-cache hit path (the paper's justification for caching
 // Execution GSHs), and a cold 124-ID batch resolved through remote
 // factories — batched (one plural CreateServices SOAP call per replica,
-// run concurrently) against the retained per-ID oracle (one CreateService
-// round trip per ID), at 1/2/4 replicas. The batched-vs-per-ID gap is the
+// run concurrently) against a per-ID reference (refs that hide
+// CreateExecutions, so every ID costs one CreateService round trip), at
+// 1/2/4 replicas. The batched-vs-per-ID gap is the
 // before/after of the scale-out overhaul.
 func BenchmarkManagerHandles(b *testing.B) {
 	ids := make([]string, 124)
@@ -452,6 +453,9 @@ func BenchmarkManagerHandles(b *testing.B) {
 				refs := make([]core.ExecutionFactoryRef, replicas)
 				for i, host := range site.Hosts() {
 					refs[i] = core.NewRemoteFactoryRef(host)
+					if mode == "ColdPerID" {
+						refs[i] = perIDRef{refs[i]}
+					}
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -460,7 +464,6 @@ func BenchmarkManagerHandles(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					m.SetBatching(mode == "ColdBatched")
 					handles, err := m.ExecutionHandles(ids)
 					if err != nil {
 						b.Fatal(err)
@@ -484,26 +487,25 @@ func BenchmarkManagerHandles(b *testing.B) {
 	}
 }
 
+// perIDRef hides a factory ref's CreateExecutions, so the Manager creates
+// each ID with its own CreateService round trip.
+type perIDRef struct{ core.ExecutionFactoryRef }
+
 // BenchmarkCachePolicies measures Get/Put throughput per replacement
-// policy under capacity pressure, for the sharded production cache and
-// the retained single-lock oracle.
+// policy under capacity pressure.
 func BenchmarkCachePolicies(b *testing.B) {
 	results := []perfdata.Result{{Metric: "m", Focus: "/", Type: "t", Time: perfdata.TimeRange{Start: 0, End: 1}, Value: 1}}
-	for _, impl := range []string{"Sharded", "SingleLock"} {
-		for _, policy := range []string{"lru", "lfu", "cost"} {
-			b.Run(impl+"/"+policy, func(b *testing.B) {
-				cache := core.NewCacheFromConfig(core.CacheConfig{
-					Policy: policy, MaxEntries: 64, SingleLock: impl == "SingleLock",
-				})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					key := fmt.Sprintf("k%d", i%128)
-					if _, ok := cache.Get(key); !ok {
-						cache.Put(key, results, time.Millisecond)
-					}
+	for _, policy := range []string{"lru", "lfu", "cost"} {
+		b.Run(policy, func(b *testing.B) {
+			cache := core.NewCache(policy, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key := fmt.Sprintf("k%d", i%128)
+				if _, ok := cache.Get(key); !ok {
+					cache.Put(key, results, time.Millisecond)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -512,95 +514,80 @@ var rsBench = []perfdata.Result{{Metric: "func_calls", Focus: "/Process/0", Type
 
 // benchCacheAt builds a cache prefilled to capacity with distinct keys,
 // for the eviction and churn benches.
-func benchCacheAt(impl, policy string, capacity int) core.Cache {
-	cache := core.NewCacheFromConfig(core.CacheConfig{
-		Policy: policy, MaxEntries: capacity, SingleLock: impl == "SingleLock",
-	})
+func benchCacheAt(policy string, capacity int) *core.Cache {
+	cache := core.NewCache(policy, capacity)
 	for i := 0; i < capacity; i++ {
 		cache.Put(fmt.Sprintf("fill%d|/Process/%d|vampir|0.0-1.0", i, i%8), rsBench, time.Millisecond)
 	}
 	return cache
 }
 
-// BenchmarkCacheHit measures the warmed single-reader hit path per
-// implementation (the latency the Table 5 steady state is made of).
+// BenchmarkCacheHit measures the warmed single-reader hit path (the
+// latency the Table 5 steady state is made of).
 func BenchmarkCacheHit(b *testing.B) {
-	for _, impl := range []string{"Sharded", "SingleLock"} {
-		b.Run(impl, func(b *testing.B) {
-			// Unbounded: the hit path is identical, and no hash imbalance
-			// can evict a warmed key out from under the measurement.
-			cache := core.NewCacheFromConfig(core.CacheConfig{Policy: "cost", SingleLock: impl == "SingleLock"})
-			keys := make([]string, 64)
-			for i := range keys {
-				keys[i] = fmt.Sprintf("fill%d|/Process/%d|vampir|0.0-1.0", i, i%8)
-				cache.Put(keys[i], rsBench, time.Millisecond)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := cache.Get(keys[i%len(keys)]); !ok {
-					b.Fatal("warmed key missed")
-				}
-			}
-		})
+	// Unbounded: no hash imbalance can evict a warmed key out from under
+	// the measurement.
+	cache := core.NewCache("cost", 0)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("fill%d|/Process/%d|vampir|0.0-1.0", i, i%8)
+		cache.Put(keys[i], rsBench, time.Millisecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := cache.Get(keys[i%len(keys)]); !ok {
+			b.Fatal("warmed key missed")
+		}
 	}
 }
 
 // BenchmarkCacheEvict measures one insertion into a full cache — which
-// must evict a victim first: the single-lock lfu/cost implementations
-// scan all n entries under their one mutex, the sharded cache pops a
-// per-shard min-heap in O(log n).
+// must evict a victim first, popping a per-shard min-heap in O(log n).
 func BenchmarkCacheEvict(b *testing.B) {
 	results := []perfdata.Result{{Metric: "excl_time", Focus: "/Process/0/Code/MPI/MPI_Waitall", Type: "vampir", Time: perfdata.TimeRange{Start: 0, End: 1}, Value: 1}}
-	for _, impl := range []string{"Sharded", "SingleLock"} {
-		for _, policy := range []string{"lru", "lfu", "cost"} {
-			b.Run(fmt.Sprintf("%s/%s/n=4096", impl, policy), func(b *testing.B) {
-				cache := benchCacheAt(impl, policy, 4096)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cache.Put(fmt.Sprintf("new%d|/Process/%d|vampir|0.0-1.0", i, i%8), results, time.Millisecond)
-				}
-			})
-		}
+	for _, policy := range []string{"lru", "lfu", "cost"} {
+		b.Run(fmt.Sprintf("%s/n=4096", policy), func(b *testing.B) {
+			cache := benchCacheAt(policy, 4096)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cache.Put(fmt.Sprintf("new%d|/Process/%d|vampir|0.0-1.0", i, i%8), results, time.Millisecond)
+			}
+		})
 	}
 }
 
 // BenchmarkCacheConcurrentMixed is the concurrent Table 5 workload as a
 // testing.B harness: parallel readers hammering a warmed hot set while a
-// tail of misses forces eviction churn, per implementation. (The full
-// sweep with per-reader-count rows is cmd/pperfgrid-bench -cache-bench.)
+// tail of misses forces eviction churn.
 func BenchmarkCacheConcurrentMixed(b *testing.B) {
 	hot := make([]perfdata.Result, 64)
 	for i := range hot {
 		hot[i] = perfdata.Result{Metric: "func_calls", Focus: fmt.Sprintf("/Process/%d", i), Type: "vampir", Time: perfdata.TimeRange{Start: 0, End: 1}, Value: float64(i)}
 	}
-	for _, impl := range []string{"Sharded", "SingleLock"} {
-		b.Run(impl, func(b *testing.B) {
-			cache := benchCacheAt(impl, "cost", 4096)
-			hotKeys := make([]string, 16)
-			for i := range hotKeys {
-				hotKeys[i] = fmt.Sprintf("hot%d|/Process/%d|vampir|0.0-1.0", i, i%8)
-				cache.Put(hotKeys[i], hot, time.Minute)
-			}
-			var tailSeq atomic.Int64
-			b.SetParallelism(16)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if i%20 == 19 { // 5% tail: miss + insert + evict
-						k := fmt.Sprintf("tail%d|/Process/%d|vampir|0.0-1.0", tailSeq.Add(1), i%8)
-						if _, ok := cache.Get(k); !ok {
-							cache.Put(k, hot[:1], time.Millisecond)
-						}
-					} else if _, ok := cache.Get(hotKeys[i%len(hotKeys)]); !ok {
-						b.Fatal("hot key missed")
-					}
-					i++
-				}
-			})
-		})
+	cache := benchCacheAt("cost", 4096)
+	hotKeys := make([]string, 16)
+	for i := range hotKeys {
+		hotKeys[i] = fmt.Sprintf("hot%d|/Process/%d|vampir|0.0-1.0", i, i%8)
+		cache.Put(hotKeys[i], hot, time.Minute)
 	}
+	var tailSeq atomic.Int64
+	b.SetParallelism(16)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if i%20 == 19 { // 5% tail: miss + insert + evict
+				k := fmt.Sprintf("tail%d|/Process/%d|vampir|0.0-1.0", tailSeq.Add(1), i%8)
+				if _, ok := cache.Get(k); !ok {
+					cache.Put(k, hot[:1], time.Millisecond)
+				}
+			} else if _, ok := cache.Get(hotKeys[i%len(hotKeys)]); !ok {
+				b.Fatal("hot key missed")
+			}
+			i++
+		}
+	})
 }
 
 // BenchmarkGSISignVerify measures the security extension's per-request

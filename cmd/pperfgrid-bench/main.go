@@ -18,13 +18,6 @@
 //
 //	pperfgrid-bench -figure 12 -policy interleave,least-loaded -replicas 1,2,4,8
 //
-// The concurrent cache evaluation (the sharded-vs-single-lock Table 5) is
-// parameterized by -cache-policy, -cache-bytes, and -readers, and runs
-// standalone — with a machine-readable record for the perf-trajectory
-// artifact — via:
-//
-//	pperfgrid-bench -cache-bench -readers 1,4,16,64 -bench-json BENCH_PR4.json
-//
 // The million-row engine evaluation — open-loop latency-vs-offered-load
 // curves over the scale star schema plus the indexed-vs-naive range and
 // top-k speedups, every scenario differentially gated against the naive
@@ -36,7 +29,8 @@
 // The mixed read/write evaluation — live ingestion (PublishResults with
 // epoch-versioned cache invalidation) running beside hot getPR readers,
 // at 95/5 and 50/50 reader/writer mixes, with throughput retention
-// against the read-only baseline — runs via:
+// against the read-only baseline — parameterized by -cache-policy and
+// -readers, runs via:
 //
 //	pperfgrid-bench -mixed-bench -bench-json BENCH_PR7.json
 //	pperfgrid-bench -mixed-bench -quick     # reduced ops, for CI smoke
@@ -68,14 +62,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"pperfgrid/internal/core"
 	"pperfgrid/internal/datagen"
 	"pperfgrid/internal/experiment"
-	"pperfgrid/internal/mapping"
-	"pperfgrid/internal/perfdata"
 )
 
 func main() {
@@ -90,16 +81,15 @@ func main() {
 		policy    = flag.String("policy", "", "comma-separated replica policies for Figure 12 and the policy ablation ("+strings.Join(core.AllPolicyNames, ", ")+"); unset means interleave for Figure 12 and every policy for the ablation")
 		replicas  = flag.String("replicas", "1,2,4,8", "comma-separated replica host counts: Figure 12's scale-out axis; the policy ablation uses the largest")
 
-		cacheBench  = flag.Bool("cache-bench", false, "run only the concurrent cache evaluation (non-fatal shape checks, for CI smoke)")
 		scaleBench  = flag.Bool("scale-bench", false, "run only the million-row engine evaluation (open-loop load curves + indexed-vs-naive speedups)")
 		mixedBench  = flag.Bool("mixed-bench", false, "run only the mixed read/write evaluation (live ingestion beside hot readers; throughput retention vs read-only)")
 		fedBench    = flag.Bool("federation-bench", false, "run only the federated scatter-gather evaluation (sites x WAN latency x failure rate; completeness, goodput, tail latency)")
 		durBench    = flag.Bool("durability-bench", false, "run only the durable-engine evaluation (disk vs memory query sweep, zone-map + group-commit ablations, recovery curve)")
 		soakBench   = flag.Bool("soak-bench", false, "run only the C10k front-door soak (real loopback sockets x offered load; goodput, shed rate, shed fast-path latency, drain leak check)")
-		cachePolicy = flag.String("cache-policy", "cost", "cache replacement policy for the concurrent Table 5 and byte-budget ablation (lru, lfu, cost)")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "cache byte budget; > 0 budgets the sharded cache in the concurrent Table 5 and sets the byte-ablation budget")
-		readers     = flag.String("readers", "1,4,16,64", "comma-separated reader counts for the concurrent Table 5")
-		benchJSON   = flag.String("bench-json", "", "write the concurrent cache results as machine-readable JSON to this path")
+		cachePolicy = flag.String("cache-policy", "cost", "cache replacement policy for the mixed read/write evaluation (lru, lfu, cost)")
+		cacheBytes  = flag.Int64("cache-bytes", 0, "byte budget for the cache byte-budget ablation; 0 picks its default")
+		readers     = flag.String("readers", "1,4,16", "comma-separated reader counts for the mixed read/write evaluation")
+		benchJSON   = flag.String("bench-json", "", "write a standalone evaluation's results as machine-readable JSON to this path")
 	)
 	flag.Parse()
 
@@ -108,7 +98,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if !*all && *table == 0 && *figure == 0 && !*ablations && !*cacheBench && !*scaleBench && !*mixedBench && !*fedBench && !*soakBench && !*durBench {
+	if !*all && *table == 0 && *figure == 0 && !*ablations && !*scaleBench && !*mixedBench && !*fedBench && !*soakBench && !*durBench {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -132,21 +122,7 @@ func main() {
 	if *quick {
 		cfg.SMG98 = datagen.SMG98Config{Executions: 2, Processes: 2, TimeBins: 8}
 	}
-	t5c := experiment.Table5ConcurrentConfig{
-		Config:     cfg,
-		Readers:    readerCounts,
-		CacheBytes: *cacheBytes,
-	}
-	t5c.CachePolicy = *cachePolicy
-	if *quick {
-		t5c.Entries = 2048
-		t5c.OpsPerReader = 4000
-	}
 
-	if *cacheBench {
-		runCacheBench(t5c, cfg, *quick, *cacheBytes, *benchJSON)
-		return
-	}
 	if *scaleBench {
 		runScaleBench(*seed, *quick, *benchJSON)
 		return
@@ -186,9 +162,6 @@ func main() {
 			}
 			return experiment.RunTable5(t5)
 		}, &failed)
-		runStep("Table 5 (concurrent cache: single-lock vs sharded)", func() (shaped, error) {
-			return experiment.RunTable5Concurrent(t5c)
-		}, &failed)
 	}
 	if *all || *figure == 12 {
 		runStep("Figure 12 (scalability)", func() (shaped, error) {
@@ -207,182 +180,6 @@ func main() {
 	if failed {
 		log.Fatal("pperfgrid-bench: one or more shape checks FAILED")
 	}
-}
-
-// cacheMicroRow is one single-reader cache-hit micro-measurement, taken
-// through testing.Benchmark so ns/op, B/op, and allocs/op land in the
-// perf-trajectory record.
-type cacheMicroRow struct {
-	Impl        string  `json:"impl"`
-	NsPerOp     float64 `json:"nsPerOp"`
-	BytesPerOp  int64   `json:"bytesPerOp"`
-	AllocsPerOp int64   `json:"allocsPerOp"`
-}
-
-// cacheBenchRecord is the BENCH_PR4.json schema: the concurrent Table 5
-// rows, derived speedups, single-reader hit micro-benchmarks, and the
-// byte-budget ablation.
-type cacheBenchRecord struct {
-	Record            string                             `json:"record"`
-	Workload          string                             `json:"workload"`
-	Concurrent        *experiment.Table5ConcurrentReport `json:"concurrentTable5"`
-	SpeedupByReaders  map[string]float64                 `json:"shardedSpeedupByReaders"`
-	SingleReaderRatio float64                            `json:"shardedSingleReaderThroughputRatio"`
-	Micro             []cacheMicroRow                    `json:"singleReaderHitMicro"`
-	ServiceMicro      []cacheMicroRow                    `json:"singleReaderServiceHitMicro"`
-	ByteBudget        []experiment.CacheBytesRow         `json:"byteBudgetAblation"`
-}
-
-// runCacheBench runs the concurrent cache evaluation standalone: the
-// concurrent Table 5, the single-reader hit micro-benchmarks, and the
-// byte-budget ablation. Shape checks print but never fail the process
-// (this mode is the CI smoke step; the host's core count decides how
-// much concurrency the measurement can really show).
-func runCacheBench(t5c experiment.Table5ConcurrentConfig, cfg experiment.Config, quick bool, cacheBytes int64, jsonPath string) {
-	fmt.Println("=== Concurrent cache evaluation ===")
-	report, err := experiment.RunTable5Concurrent(t5c)
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: concurrent table 5: %v", err)
-	}
-	fmt.Print(report.Render())
-	fmt.Println()
-
-	micro := cacheHitMicro()
-	fmt.Println("Single-reader cache-hit micro (warmed Get):")
-	for _, m := range micro {
-		fmt.Printf("  %-12s %10.1f ns/op  %6d B/op  %4d allocs/op\n", m.Impl, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-	}
-	fmt.Println()
-
-	serviceMicro, err := serviceHitMicro()
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: service hit micro: %v", err)
-	}
-	fmt.Println("Single-reader hot read path (warmed ExecutionService.PerformanceResults):")
-	for _, m := range serviceMicro {
-		fmt.Printf("  %-12s %10.1f ns/op  %6d B/op  %4d allocs/op\n", m.Impl, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-	}
-	fmt.Println()
-
-	queries := 300
-	if quick {
-		queries = 60
-	}
-	bytesRows, err := experiment.RunCacheBytesAblation(cfg, cacheBytes, queries)
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: cache bytes ablation: %v", err)
-	}
-	fmt.Print(experiment.RenderCacheBytesAblation(bytesRows))
-
-	if jsonPath == "" {
-		return
-	}
-	rec := cacheBenchRecord{
-		Record:           "PR4 cache overhaul perf trajectory",
-		Workload:         "SMG98-shaped hot set + tail eviction churn",
-		Concurrent:       report,
-		SpeedupByReaders: map[string]float64{},
-		Micro:            micro,
-		ServiceMicro:     serviceMicro,
-		ByteBudget:       bytesRows,
-	}
-	for _, row := range report.Rows {
-		if row.Impl == "sharded" {
-			rec.SpeedupByReaders[strconv.Itoa(row.Readers)] = report.SpeedupAt(row.Readers)
-		}
-	}
-	rec.SingleReaderRatio = report.SpeedupAt(1)
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: marshal bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		log.Fatalf("pperfgrid-bench: write %s: %v", jsonPath, err)
-	}
-	fmt.Printf("\nwrote %s\n", jsonPath)
-}
-
-// cacheHitMicro measures the single-reader warmed-Get hit path per
-// implementation with the testing harness (so allocation counts are
-// exact).
-func cacheHitMicro() []cacheMicroRow {
-	payload := make([]perfdata.Result, 64)
-	for i := range payload {
-		payload[i] = perfdata.Result{
-			Metric: "func_calls", Focus: fmt.Sprintf("/Process/%d", i), Type: "vampir",
-			Time: perfdata.TimeRange{Start: 0, End: 1}, Value: float64(i),
-		}
-	}
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("func_calls|/Process/%d|vampir|0.0-132.5", i)
-	}
-	var out []cacheMicroRow
-	for _, impl := range []string{"single-lock", "sharded"} {
-		// Unbounded: the hit path is identical and no shard imbalance can
-		// evict a warmed key out from under the measurement.
-		c := core.NewCacheFromConfig(core.CacheConfig{
-			Policy: "cost", SingleLock: impl == "single-lock",
-		})
-		for _, k := range keys {
-			c.Put(k, payload, time.Second)
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok := c.Get(keys[i%len(keys)]); !ok {
-					b.Fatal("warmed key missed")
-				}
-			}
-		})
-		out = append(out, cacheMicroRow{
-			Impl:        impl,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	return out
-}
-
-// serviceHitMicro measures the full single-reader hot read path — a
-// warmed getPR hit through ExecutionService (query-key construction,
-// singleflight fast path, cache lookup) — per cache implementation. This
-// is the latency the acceptance comparison cares about: the cache Get is
-// one component of it.
-func serviceHitMicro() ([]cacheMicroRow, error) {
-	d := datagen.HPL(datagen.HPLConfig{Executions: 1, Seed: 11})
-	var out []cacheMicroRow
-	for _, impl := range []string{"single-lock", "sharded"} {
-		ew, err := mapping.NewMemory(d).ExecutionWrapper(d.Execs[0].ID)
-		if err != nil {
-			return nil, err
-		}
-		cache := core.NewCacheFromConfig(core.CacheConfig{
-			Policy: "cost", MaxEntries: 128, SingleLock: impl == "single-lock",
-		})
-		svc := core.NewExecutionService(d.Execs[0].ID, ew, cache, nil)
-		q := perfdata.Query{Metric: "gflops", Time: perfdata.TimeRange{Start: 0, End: 1e9}, Type: "hpl"}
-		if _, err := svc.PerformanceResults(q); err != nil { // warm
-			return nil, err
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := svc.PerformanceResults(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		out = append(out, cacheMicroRow{
-			Impl:        impl,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	return out, nil
 }
 
 // scaleBenchRecord is the BENCH_PR6.json schema: the open-loop
@@ -456,12 +253,7 @@ func runMixedBench(cfg experiment.Config, cachePolicy string, readerCounts []int
 	fmt.Println("=== Mixed read/write evaluation (live ingestion) ===")
 	t5m := experiment.Table5MixedConfig{Config: cfg}
 	t5m.CachePolicy = cachePolicy
-	// The default -readers list targets the read-heavy cache experiment;
-	// the mixed cells top out at 16 readers unless overridden.
-	t5m.Readers = []int{1, 4, 16}
-	if len(readerCounts) > 0 && flagWasSet("readers") {
-		t5m.Readers = readerCounts
-	}
+	t5m.Readers = readerCounts
 	if quick {
 		t5m.OpsPerReader = 3000
 	}
@@ -691,17 +483,6 @@ func runDurabilityBench(seed int64, quick bool, jsonPath string) {
 		log.Fatalf("pperfgrid-bench: write %s: %v", jsonPath, err)
 	}
 	fmt.Printf("\nwrote %s\n", jsonPath)
-}
-
-// flagWasSet reports whether a flag was explicitly provided.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // shaped is any report that can render itself and check the paper's shape.

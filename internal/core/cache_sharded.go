@@ -11,24 +11,20 @@ import (
 	"pperfgrid/internal/perfdata"
 )
 
-// This file holds the production Performance Results cache: the key space
-// is split across power-of-two shards, each with its own RWMutex, entry
-// map, and eviction min-heap.
+// This file holds the Cache internals: the key space is split across
+// power-of-two shards, each with its own RWMutex, entry map, and eviction
+// min-heap.
 //
 //   - Hits (Get/GetWire) take only the shard's read lock: lookups proceed
 //     in parallel and bump per-entry recency/frequency via atomics, so the
 //     hot Table 5 path never serializes on a writer lock.
-//   - Eviction pops the shard's min-heap: O(log n) per victim against the
-//     single-lock implementation's O(n) scan (lfu/cost). Heap scores are
-//     repaired lazily — read-side bumps only ever raise an entry's score,
-//     so eviction re-sinks stale roots until the true minimum surfaces.
+//   - Eviction pops the shard's min-heap: O(log n) per victim. Heap scores
+//     are repaired lazily — read-side bumps only ever raise an entry's
+//     score, so eviction re-sinks stale roots until the true minimum
+//     surfaces.
 //   - Capacity is accounted in bytes (EntryFootprint over results + wire)
 //     and/or entries. Budgets divide evenly across shards (floor), so the
 //     configured totals are strict upper bounds.
-//
-// The pre-sharding single-lock caches in cache.go remain as the
-// differential oracle and ablation hook (CacheConfig.SingleLock), the
-// same pattern as the soap legacy codec and the Manager's per-ID path.
 
 // DefaultCacheShards is the shard count used when CacheConfig.Shards is
 // unset. 16 keeps per-shard budgets meaningful at test-scale capacities
@@ -119,79 +115,10 @@ type cacheShard struct {
 	evictions int64 // under mu
 }
 
-// shardedCache implements Cache with per-shard locking, heap eviction,
-// and byte budgets.
-type shardedCache struct {
-	cfg        CacheConfig
-	policyCode int
-	seed       maphash.Seed
-	shards     []cacheShard
-	mask       uint64
-
-	perShardEntries int   // 0 = unbounded
-	perShardBytes   int64 // 0 = unbounded
-}
-
-// newSharded builds the sharded cache. Budgets divide across shards by
-// floor division, so shards*perShard never exceeds the configured total;
-// the shard count is clamped so every shard owns at least one entry (and
-// a useful byte budget) of its bound.
-func newSharded(cfg CacheConfig) *shardedCache {
-	cfg.Policy = normalizePolicy(cfg.Policy)
-	n := cfg.Shards
-	if n <= 0 {
-		n = DefaultCacheShards
-		if cfg.MaxBytes > 0 {
-			for n > 1 && cfg.MaxBytes/int64(n) < minShardBudgetBytes {
-				n /= 2
-			}
-		}
-		if cfg.MaxEntries > 0 {
-			for n > 1 && cfg.MaxEntries/n < minShardEntries {
-				n /= 2
-			}
-		}
-	}
-	if cfg.MaxEntries > 0 && n > cfg.MaxEntries {
-		n = cfg.MaxEntries
-	}
-	if cfg.MaxBytes > 0 && int64(n) > cfg.MaxBytes {
-		n = int(cfg.MaxBytes)
-	}
-	shards := 1
-	for shards*2 <= n {
-		shards *= 2
-	}
-	c := &shardedCache{
-		cfg:    cfg,
-		seed:   maphash.MakeSeed(),
-		shards: make([]cacheShard, shards),
-		mask:   uint64(shards - 1),
-	}
-	switch cfg.Policy {
-	case "lfu":
-		c.policyCode = policyLFU
-	case "cost":
-		c.policyCode = policyCost
-	default:
-		c.policyCode = policyLRU
-	}
-	if cfg.MaxEntries > 0 {
-		c.perShardEntries = cfg.MaxEntries / shards
-	}
-	if cfg.MaxBytes > 0 {
-		c.perShardBytes = cfg.MaxBytes / int64(shards)
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*shardEntry)
-	}
-	return c
-}
-
 // shard maps a key to its shard. maphash is the runtime's hardware-
 // accelerated string hash — the hot hit path pays a few nanoseconds here,
 // not a byte-at-a-time loop over SMG98-length keys.
-func (c *shardedCache) shard(key string) *cacheShard {
+func (c *Cache) shard(key string) *cacheShard {
 	return &c.shards[maphash.String(c.seed, key)&c.mask]
 }
 
@@ -199,7 +126,7 @@ func (c *shardedCache) shard(key string) *cacheShard {
 // Scores only grow between explicit writes: uses and lastSeq are
 // monotonic, and cost changes (which can lower the cost score) happen
 // under the write lock with an immediate heap fix.
-func (c *shardedCache) score(e *shardEntry) int64 {
+func (c *Cache) score(e *shardEntry) int64 {
 	switch c.policyCode {
 	case policyLFU:
 		return e.uses.Load()
@@ -212,7 +139,7 @@ func (c *shardedCache) score(e *shardEntry) int64 {
 
 // touch refreshes the score input the policy actually reads — one atomic
 // on the hit path, not two. Callers hold at least the shard read lock.
-func (c *shardedCache) touch(s *cacheShard, e *shardEntry) {
+func (c *Cache) touch(s *cacheShard, e *shardEntry) {
 	if c.policyCode == policyLRU {
 		e.lastSeq.Store(atomic.AddInt64(&s.seq, 1))
 		return
@@ -220,15 +147,15 @@ func (c *shardedCache) touch(s *cacheShard, e *shardEntry) {
 	e.uses.Add(1)
 }
 
-func (c *shardedCache) Policy() string      { return c.cfg.Policy }
-func (c *shardedCache) Config() CacheConfig { return c.cfg }
+// Policy names the replacement policy, for service data and reports.
+func (c *Cache) Policy() string { return c.policy }
 
 // Shards reports the effective shard count.
-func (c *shardedCache) Shards() int { return len(c.shards) }
+func (c *Cache) Shards() int { return len(c.shards) }
 
 // lookup is the shared read-locked hit path: find the entry, refresh its
 // score input, and return its results and shard (for stats accounting).
-func (c *shardedCache) lookup(key string) (*cacheShard, []perfdata.Result, bool) {
+func (c *Cache) lookup(key string) (*cacheShard, []perfdata.Result, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	e, ok := s.entries[key]
@@ -241,7 +168,8 @@ func (c *shardedCache) lookup(key string) (*cacheShard, []perfdata.Result, bool)
 	return s, rs, ok
 }
 
-func (c *shardedCache) Get(key string) ([]perfdata.Result, bool) {
+// Get returns the results cached under key, counting a hit or a miss.
+func (c *Cache) Get(key string) ([]perfdata.Result, bool) {
 	s, rs, ok := c.lookup(key)
 	if !ok {
 		s.misses.Add(1)
@@ -251,14 +179,18 @@ func (c *shardedCache) Get(key string) ([]perfdata.Result, bool) {
 	return rs, true
 }
 
-// getQuiet implements quietCache: the same lookup without hit/miss
-// accounting, for the Execution service's double-checked miss path.
-func (c *shardedCache) getQuiet(key string) ([]perfdata.Result, bool) {
+// getQuiet is Get without hit/miss accounting: the Execution service's
+// double-checked re-lookup under its flight lock uses it, so one logical
+// getPR counts exactly once.
+func (c *Cache) getQuiet(key string) ([]perfdata.Result, bool) {
 	_, rs, ok := c.lookup(key)
 	return rs, ok
 }
 
-func (c *shardedCache) GetWire(key string) ([]byte, bool) {
+// GetWire returns the entry's encoded response envelope. Present wire
+// counts as a hit; absence is not counted as a miss (the Get that follows
+// will count it).
+func (c *Cache) GetWire(key string) ([]byte, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	e, ok := s.entries[key]
@@ -277,7 +209,9 @@ func (c *shardedCache) GetWire(key string) ([]byte, bool) {
 	return wire, true
 }
 
-func (c *shardedCache) Put(key string, results []perfdata.Result, cost time.Duration) {
+// Put caches results under key, replacing (and dropping the wire of) any
+// existing entry and evicting lowest-score entries to stay in budget.
+func (c *Cache) Put(key string, results []perfdata.Result, cost time.Duration) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -323,7 +257,9 @@ func (c *shardedCache) Put(key string, results []perfdata.Result, cost time.Dura
 	heap.Push(&s.heap, e)
 }
 
-func (c *shardedCache) AttachWire(key string, wire []byte) {
+// AttachWire stores encoded response bytes on an existing entry; it is a
+// no-op for unknown keys. Callers must not mutate wire afterwards.
+func (c *Cache) AttachWire(key string, wire []byte) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -354,7 +290,7 @@ func (c *shardedCache) AttachWire(key string, wire []byte) {
 // (evicting nothing) when it never could: an addition that exceeds the
 // whole budget even alongside only the pinned entry must not flush the
 // shard on its way to failing.
-func (c *shardedCache) ensureBytesLocked(s *cacheShard, add int64, keep *shardEntry) bool {
+func (c *Cache) ensureBytesLocked(s *cacheShard, add int64, keep *shardEntry) bool {
 	if c.perShardBytes <= 0 || s.bytes+add <= c.perShardBytes {
 		return true
 	}
@@ -388,7 +324,7 @@ func (c *shardedCache) ensureBytesLocked(s *cacheShard, add int64, keep *shardEn
 // pop the heap root, lazily repairing roots whose live score has risen
 // past the recorded one (read-side touches never lower a score, so a
 // root whose recorded score is current really is the minimum).
-func (c *shardedCache) evictMinLocked(s *cacheShard) {
+func (c *Cache) evictMinLocked(s *cacheShard) {
 	for s.heap.Len() > 0 {
 		root := s.heap.items[0]
 		if cur := c.score(root); cur > root.hscore {
@@ -403,17 +339,20 @@ func (c *shardedCache) evictMinLocked(s *cacheShard) {
 }
 
 // removeLocked unlinks an entry from the map, heap, and byte account.
-func (c *shardedCache) removeLocked(s *cacheShard, e *shardEntry) {
+func (c *Cache) removeLocked(s *cacheShard, e *shardEntry) {
 	delete(s.entries, e.key)
 	heap.Remove(&s.heap, e.hindex)
 	s.bytes -= e.size
 }
 
-// Invalidate implements Cache: purge every shard and report the total
-// entry count dropped. Purges are per-shard atomic — a concurrent reader
-// sees each shard either full or empty, which is enough for the write
-// path, where the epoch bump has already retired every live key.
-func (c *shardedCache) Invalidate() int {
+// Invalidate drops every entry and reports how many were purged. The
+// Execution service calls it after a store mutation or update
+// notification so stale envelopes release their bytes immediately — the
+// epoch bump already makes their keys unreachable. Purges are per-shard
+// atomic: a concurrent reader sees each shard either full or empty. Result
+// slices and wire bytes already handed out stay valid (references are
+// dropped, never mutated), and purged entries do not count as evictions.
+func (c *Cache) Invalidate() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -427,7 +366,8 @@ func (c *shardedCache) Invalidate() int {
 	return n
 }
 
-func (c *shardedCache) Len() int {
+// Len reports the number of cached entries.
+func (c *Cache) Len() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -438,7 +378,9 @@ func (c *shardedCache) Len() int {
 	return n
 }
 
-func (c *shardedCache) SizeBytes() int64 {
+// SizeBytes reports the footprint estimate of all cached entries,
+// decoded results plus attached wire envelopes.
+func (c *Cache) SizeBytes() int64 {
 	var n int64
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -449,7 +391,8 @@ func (c *shardedCache) SizeBytes() int64 {
 	return n
 }
 
-func (c *shardedCache) Stats() CacheStats {
+// Stats reports cumulative hits, misses, and evictions.
+func (c *Cache) Stats() CacheStats {
 	var out CacheStats
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -473,7 +416,7 @@ type ShardLoad struct {
 }
 
 // ShardLoads reports per-shard statistics, in shard order.
-func (c *shardedCache) ShardLoads() []ShardLoad {
+func (c *Cache) ShardLoads() []ShardLoad {
 	out := make([]ShardLoad, len(c.shards))
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -486,10 +429,4 @@ func (c *shardedCache) ShardLoads() []ShardLoad {
 		s.mu.RUnlock()
 	}
 	return out
-}
-
-// shardLoader is the optional per-shard introspection interface the
-// Execution service publishes when the cache supports it.
-type shardLoader interface {
-	ShardLoads() []ShardLoad
 }

@@ -28,7 +28,7 @@ func rsN(n int, v float64) []perfdata.Result {
 }
 
 func TestShardedPolicyScenarios(t *testing.T) {
-	oneShard := func(policy string, capacity int) Cache {
+	oneShard := func(policy string, capacity int) *Cache {
 		return NewCacheFromConfig(CacheConfig{Policy: policy, MaxEntries: capacity, Shards: 1})
 	}
 	t.Run("lru evicts least recent", func(t *testing.T) {
@@ -71,31 +71,146 @@ func TestShardedPolicyScenarios(t *testing.T) {
 			t.Error("cheap entry survived over expensive")
 		}
 	})
+	t.Run("cost weighs uses", func(t *testing.T) {
+		c := oneShard("cost", 2)
+		c.Put("cheapHot", rs(1), time.Millisecond)
+		// 2000 uses make the cheap entry worth ~2s of saved recomputation.
+		for i := 0; i < 2000; i++ {
+			c.Get("cheapHot")
+		}
+		c.Put("expensiveCold", rs(2), time.Second)
+		c.Put("new", rs(3), time.Millisecond)
+		if _, ok := c.Get("cheapHot"); !ok {
+			t.Error("heavily used cheap entry evicted")
+		}
+	})
 	t.Run("shards reported", func(t *testing.T) {
 		c := NewCacheFromConfig(CacheConfig{Policy: "lru", Shards: 8})
-		if got := c.(*shardedCache).Shards(); got != 8 {
+		if got := c.Shards(); got != 8 {
 			t.Errorf("shards = %d", got)
 		}
 		// Shard counts round down to a power of two and clamp to capacity.
 		c = NewCacheFromConfig(CacheConfig{Policy: "lru", MaxEntries: 5, Shards: 16})
-		if got := c.(*shardedCache).Shards(); got != 4 {
+		if got := c.Shards(); got != 4 {
 			t.Errorf("clamped shards = %d", got)
 		}
 	})
 }
 
-// TestCacheDifferentialShardedVsSingleLock drives a single-shard sharded
-// cache and the retained single-lock implementation through the same
-// randomized operation sequence and pins identical hit/miss outcomes,
-// stats, entry counts, and byte accounting for every policy — the sharded
-// rebuild must be behaviourally indistinguishable at one shard.
-func TestCacheDifferentialShardedVsSingleLock(t *testing.T) {
+// cacheModel is the reference the differential test holds Cache to: one
+// map, an O(n) victim scan (lowest score, oldest insertion first among
+// ties), EntryFootprint byte accounting, and hit/miss/eviction counts.
+// It models an entry-capacity cache with no byte budget.
+type cacheModel struct {
+	policy   string
+	capacity int
+	entries  map[string]*modelEntry
+	clock    int64
+	stats    CacheStats
+}
+
+type modelEntry struct {
+	results []perfdata.Result
+	wire    []byte
+	cost    time.Duration
+	uses    int64 // hits: the lfu and cost score input
+	touched int64 // recency stamp: the lru score
+	born    int64 // insertion stamp: the tie-break
+}
+
+func newCacheModel(policy string, capacity int) *cacheModel {
+	return &cacheModel{policy: policy, capacity: capacity, entries: make(map[string]*modelEntry)}
+}
+
+func (m *cacheModel) tick() int64 {
+	m.clock++
+	return m.clock
+}
+
+func (m *cacheModel) score(e *modelEntry) int64 {
+	switch m.policy {
+	case "lfu":
+		return e.uses
+	case "cost":
+		return int64(e.cost) * (1 + e.uses)
+	default:
+		return e.touched
+	}
+}
+
+func (m *cacheModel) hit(e *modelEntry) {
+	m.stats.Hits++
+	e.uses++
+	e.touched = m.tick()
+}
+
+func (m *cacheModel) Get(key string) ([]perfdata.Result, bool) {
+	e, ok := m.entries[key]
+	if !ok {
+		m.stats.Misses++
+		return nil, false
+	}
+	m.hit(e)
+	return e.results, true
+}
+
+// GetWire counts a hit only when wire is attached; absence is no miss.
+func (m *cacheModel) GetWire(key string) ([]byte, bool) {
+	e, ok := m.entries[key]
+	if !ok || e.wire == nil {
+		return nil, false
+	}
+	m.hit(e)
+	return e.wire, true
+}
+
+func (m *cacheModel) AttachWire(key string, wire []byte) {
+	if e, ok := m.entries[key]; ok {
+		e.wire = wire
+	}
+}
+
+// Put overwrites in place (dropping the wire, keeping the use count) or
+// inserts after evicting the lowest-score entry from a full cache.
+func (m *cacheModel) Put(key string, results []perfdata.Result, cost time.Duration) {
+	if e, ok := m.entries[key]; ok {
+		e.results, e.wire, e.cost, e.touched = results, nil, cost, m.tick()
+		return
+	}
+	if m.capacity > 0 && len(m.entries) >= m.capacity {
+		var victim string
+		var v *modelEntry
+		for k, e := range m.entries {
+			if v == nil || m.score(e) < m.score(v) || (m.score(e) == m.score(v) && e.born < v.born) {
+				victim, v = k, e
+			}
+		}
+		delete(m.entries, victim)
+		m.stats.Evictions++
+	}
+	now := m.tick()
+	m.entries[key] = &modelEntry{results: results, cost: cost, touched: now, born: now}
+}
+
+func (m *cacheModel) SizeBytes() int64 {
+	var n int64
+	for k, e := range m.entries {
+		n += EntryFootprint(k, e.results, e.wire)
+	}
+	return n
+}
+
+// TestCacheDifferentialVsModel drives a single-shard Cache and cacheModel
+// through the same randomized operation sequence and pins identical
+// hit/miss outcomes, results, entry counts, byte accounting, and stats
+// after every operation, for every policy.
+func TestCacheDifferentialVsModel(t *testing.T) {
 	for _, policy := range []string{"lru", "lfu", "cost"} {
 		for _, capacity := range []int{2, 5, 16} {
 			t.Run(fmt.Sprintf("%s/cap=%d", policy, capacity), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(42 + capacity)))
-				oracle := NewCacheFromConfig(CacheConfig{Policy: policy, MaxEntries: capacity, SingleLock: true})
-				sharded := NewCacheFromConfig(CacheConfig{Policy: policy, MaxEntries: capacity, Shards: 1})
+				model := newCacheModel(policy, capacity)
+				c := NewCacheFromConfig(CacheConfig{Policy: policy, MaxEntries: capacity, Shards: 1})
 				keys := make([]string, 24)
 				for i := range keys {
 					keys[i] = fmt.Sprintf("metric%d|/Process/%d|UNDEFINED|0.0-1.0", i, i)
@@ -106,36 +221,36 @@ func TestCacheDifferentialShardedVsSingleLock(t *testing.T) {
 					case 0, 1, 2: // Put with a distinct cost per op
 						payload := rsN(1+rng.Intn(4), float64(op))
 						cost := time.Duration(op*7919 + 1)
-						oracle.Put(k, payload, cost)
-						sharded.Put(k, payload, cost)
+						model.Put(k, payload, cost)
+						c.Put(k, payload, cost)
 					case 3: // AttachWire
 						wire := make([]byte, 8+rng.Intn(64))
-						oracle.AttachWire(k, wire)
-						sharded.AttachWire(k, wire)
+						model.AttachWire(k, wire)
+						c.AttachWire(k, wire)
 					case 4: // GetWire
-						_, a := oracle.GetWire(k)
-						_, b := sharded.GetWire(k)
+						_, a := model.GetWire(k)
+						_, b := c.GetWire(k)
 						if a != b {
-							t.Fatalf("op %d: GetWire(%q) diverged: oracle=%v sharded=%v", op, k, a, b)
+							t.Fatalf("op %d: GetWire(%q) diverged: model=%v cache=%v", op, k, a, b)
 						}
 					default: // Get
-						ra, a := oracle.Get(k)
-						rb, b := sharded.Get(k)
+						ra, a := model.Get(k)
+						rb, b := c.Get(k)
 						if a != b {
-							t.Fatalf("op %d: Get(%q) diverged: oracle=%v sharded=%v", op, k, a, b)
+							t.Fatalf("op %d: Get(%q) diverged: model=%v cache=%v", op, k, a, b)
 						}
 						if a && !reflect.DeepEqual(ra, rb) {
 							t.Fatalf("op %d: Get(%q) results diverged", op, k)
 						}
 					}
-					if oracle.Len() != sharded.Len() {
-						t.Fatalf("op %d: Len diverged: oracle=%d sharded=%d", op, oracle.Len(), sharded.Len())
+					if len(model.entries) != c.Len() {
+						t.Fatalf("op %d: Len diverged: model=%d cache=%d", op, len(model.entries), c.Len())
 					}
-					if oracle.SizeBytes() != sharded.SizeBytes() {
-						t.Fatalf("op %d: SizeBytes diverged: oracle=%d sharded=%d", op, oracle.SizeBytes(), sharded.SizeBytes())
+					if model.SizeBytes() != c.SizeBytes() {
+						t.Fatalf("op %d: SizeBytes diverged: model=%d cache=%d", op, model.SizeBytes(), c.SizeBytes())
 					}
-					if oa, sa := oracle.Stats(), sharded.Stats(); oa != sa {
-						t.Fatalf("op %d: stats diverged: oracle=%+v sharded=%+v", op, oa, sa)
+					if ms, cs := model.stats, c.Stats(); ms != cs {
+						t.Fatalf("op %d: stats diverged: model=%+v cache=%+v", op, ms, cs)
 					}
 				}
 			})
@@ -257,7 +372,7 @@ func TestCacheByteBudgetEvictsForWire(t *testing.T) {
 	if _, ok := c.GetWire("k0"); !ok {
 		t.Fatal("wire not attached")
 	}
-	if _, ok := cacheGetQuiet(c, "k1"); ok {
+	if _, ok := c.getQuiet("k1"); ok {
 		t.Error("expected k1 evicted to fit k0's envelope")
 	}
 	if got := c.SizeBytes(); got > budget {
@@ -265,16 +380,15 @@ func TestCacheByteBudgetEvictsForWire(t *testing.T) {
 	}
 }
 
-// TestCacheStressConcurrent hammers both implementations with concurrent
-// readers, writers, wire attachments, and eviction churn under -race, and
-// checks the capacity invariants afterwards.
+// TestCacheStressConcurrent hammers the cache with concurrent readers,
+// writers, wire attachments, and eviction churn under -race, and checks
+// the capacity invariants afterwards.
 func TestCacheStressConcurrent(t *testing.T) {
 	const (
 		capacity = 64
 		budget   = 32 << 10
 	)
 	configs := []CacheConfig{
-		{MaxEntries: capacity, SingleLock: true},
 		{MaxEntries: capacity},
 		{MaxBytes: budget},
 		{MaxEntries: capacity, MaxBytes: budget},
@@ -283,11 +397,8 @@ func TestCacheStressConcurrent(t *testing.T) {
 		for _, base := range configs {
 			cfg := base
 			cfg.Policy = policy
-			name := fmt.Sprintf("%s/entries=%d/bytes=%d/single=%v", policy, cfg.MaxEntries, cfg.MaxBytes, cfg.SingleLock)
+			name := fmt.Sprintf("%s/entries=%d/bytes=%d/single=false", policy, cfg.MaxEntries, cfg.MaxBytes)
 			t.Run(name, func(t *testing.T) {
-				if cfg.SingleLock && cfg.MaxBytes > 0 {
-					t.Skip("single-lock cache has no byte budget")
-				}
 				c := NewCacheFromConfig(cfg)
 				var wg sync.WaitGroup
 				for w := 0; w < 8; w++ {
@@ -328,33 +439,30 @@ func TestCacheStressConcurrent(t *testing.T) {
 // handed out by Get stays intact when its entry is evicted or replaced —
 // paged cursors and clients hold those slices long after the lookup.
 func TestCacheResultAliasing(t *testing.T) {
-	for _, cfg := range []CacheConfig{
-		{Policy: "lru", MaxEntries: 1, SingleLock: true},
-		{Policy: "lru", MaxEntries: 1},
-	} {
-		t.Run(fmt.Sprintf("single=%v", cfg.SingleLock), func(t *testing.T) {
-			c := NewCacheFromConfig(cfg)
-			original := rsN(4, 1)
-			snapshot := make([]perfdata.Result, len(original))
-			copy(snapshot, original)
+	// The subtest keeps the name it had beside the retired single-lock
+	// cache, as TestCacheStressConcurrent's names do.
+	t.Run("single=false", func(t *testing.T) {
+		c := NewCache("lru", 1)
+		original := rsN(4, 1)
+		snapshot := make([]perfdata.Result, len(original))
+		copy(snapshot, original)
 
-			c.Put("k", original, time.Second)
-			held, ok := c.Get("k")
-			if !ok {
-				t.Fatal("miss after Put")
-			}
-			c.Put("other", rsN(2, 2), time.Second) // evicts k (capacity 1)
-			c.Put("k", rsN(4, 99), time.Second)    // re-inserts k with new results
-			c.Put("k", rsN(1, -1), time.Second)    // overwrites in place
-			if !reflect.DeepEqual(held, snapshot) {
-				t.Errorf("held slice mutated by eviction/Put: %+v", held)
-			}
-			fresh, ok := c.Get("k")
-			if !ok || len(fresh) != 1 || fresh[0].Value != -1 {
-				t.Errorf("current entry wrong: %+v ok=%v", fresh, ok)
-			}
-		})
-	}
+		c.Put("k", original, time.Second)
+		held, ok := c.Get("k")
+		if !ok {
+			t.Fatal("miss after Put")
+		}
+		c.Put("other", rsN(2, 2), time.Second) // evicts k (capacity 1)
+		c.Put("k", rsN(4, 99), time.Second)    // re-inserts k with new results
+		c.Put("k", rsN(1, -1), time.Second)    // overwrites in place
+		if !reflect.DeepEqual(held, snapshot) {
+			t.Errorf("held slice mutated by eviction/Put: %+v", held)
+		}
+		fresh, ok := c.Get("k")
+		if !ok || len(fresh) != 1 || fresh[0].Value != -1 {
+			t.Errorf("current entry wrong: %+v ok=%v", fresh, ok)
+		}
+	})
 }
 
 // TestExecutionCacheAccounting pins exact hit/miss counts for the three

@@ -34,11 +34,9 @@ type ExecutionService struct {
 	id      string
 	wrapper mapping.ExecutionWrapper
 
-	// cache is the instance's Performance Results cache; a nil pointer
-	// disables caching. It is an atomic pointer — not a mutex-guarded
-	// field — because every getPR hit reads it, and the hot read path
-	// must not serialize on instance state (NotifyUpdate swaps it).
-	cache atomic.Pointer[Cache]
+	// cache is the instance's Performance Results cache, set once at
+	// construction and never replaced; nil disables caching.
+	cache *Cache
 
 	hub  *ogsi.NotificationHub // nil disables notifications
 	dial ogsi.SinkDialer       // nil disables getPRAsync callbacks
@@ -49,17 +47,19 @@ type ExecutionService struct {
 	// raw path; tests use it to prove cache hits do zero marshalling.
 	wireEncodes atomic.Int64
 
-	// epoch is the execution's write generation. Every cache key is
-	// prefixed with it (versionedKey), so a PublishResults bump retires
-	// all previously cached envelopes and all in-flight singleflight
-	// fills at once: their keys become structurally unreachable. This is
-	// the version-stamp-at-query-start contract — a reader that started
-	// before a write can only populate (and read) pre-write keys.
+	// epoch is the execution's data generation. Every cache key is
+	// prefixed with it (versionedKey), so a bump — by PublishResults or
+	// NotifyUpdate — retires all previously cached envelopes and all
+	// in-flight singleflight fills at once: their keys become structurally
+	// unreachable. This is the version-stamp-at-query-start contract — a
+	// reader that started before a write can only populate (and read)
+	// pre-write keys.
 	epoch atomic.Int64
 
 	// publishes counts successful PublishResults calls; invalidated
-	// accumulates the cache entries purged by them. Both feed service
-	// data, and tests pin exact per-instance invalidation counts.
+	// accumulates the cache entries purged by them and by NotifyUpdate.
+	// Both feed service data, and tests pin exact per-instance
+	// invalidation counts.
 	publishes   atomic.Int64
 	invalidated atomic.Int64
 
@@ -154,12 +154,8 @@ const OpGetPRAsync = "getPRAsync"
 // NewExecutionService builds an Execution service over a mapping-layer
 // wrapper. cache may be nil to disable Performance Result caching; hub may
 // be nil to disable update notifications.
-func NewExecutionService(id string, w mapping.ExecutionWrapper, cache Cache, hub *ogsi.NotificationHub) *ExecutionService {
-	e := &ExecutionService{id: id, wrapper: w, hub: hub}
-	if cache != nil {
-		e.cache.Store(&cache)
-	}
-	return e
+func NewExecutionService(id string, w mapping.ExecutionWrapper, cache *Cache, hub *ogsi.NotificationHub) *ExecutionService {
+	return &ExecutionService{id: id, wrapper: w, cache: cache, hub: hub}
 }
 
 // SetSinkDialer enables the getPRAsync callback model by providing the
@@ -170,22 +166,11 @@ func (e *ExecutionService) SetSinkDialer(d ogsi.SinkDialer) { e.dial = d }
 // ID returns the execution's unique ID.
 func (e *ExecutionService) ID() string { return e.id }
 
-// cacheRef returns the current cache snapshot (nil when caching is off).
-// NotifyUpdate replaces the cache wholesale, so each request takes one
-// snapshot and works against it throughout; a request racing an update
-// may write into the retired cache, which nothing reads afterwards.
-func (e *ExecutionService) cacheRef() Cache {
-	if p := e.cache.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // CacheStats reports the instance's cache statistics; the zero value is
 // returned when caching is off.
 func (e *ExecutionService) CacheStats() CacheStats {
-	if c := e.cacheRef(); c != nil {
-		return c.Stats()
+	if e.cache != nil {
+		return e.cache.Stats()
 	}
 	return CacheStats{}
 }
@@ -507,8 +492,7 @@ func (e *ExecutionService) dropCursorLocked(id string) {
 // alongside the decoded results. took is false — nothing done — for other
 // operations and uncached instances.
 func (e *ExecutionService) InvokeRawContext(ctx context.Context, op string, params []string) ([]byte, bool, error) {
-	cache := e.cacheRef()
-	if op != OpGetPR || cache == nil {
+	if op != OpGetPR || e.cache == nil {
 		return nil, false, nil
 	}
 	q, err := perfdata.ParseQueryParams(params)
@@ -520,10 +504,10 @@ func (e *ExecutionService) InvokeRawContext(ctx context.Context, op string, para
 	// the fallback path below settles the outcome (hit when only the
 	// decoded results are cached, miss when nothing is).
 	key := e.versionedKey(q.Key())
-	if raw, ok := cache.GetWire(key); ok {
+	if raw, ok := e.cache.GetWire(key); ok {
 		return raw, true, nil
 	}
-	rs, err := e.resultsByKey(ctx, cache, key, q)
+	rs, err := e.resultsByKey(ctx, key, q)
 	if err != nil {
 		return nil, true, err
 	}
@@ -532,10 +516,9 @@ func (e *ExecutionService) InvokeRawContext(ctx context.Context, op string, para
 		return nil, true, err
 	}
 	e.wireEncodes.Add(1)
-	// Attach to the same snapshot the results came from: if NotifyUpdate
-	// swapped caches mid-request, this writes into the retired cache and
-	// the stale envelope is never served.
-	cache.AttachWire(key, raw)
+	// key carries the epoch read at query start: if an update landed
+	// mid-request, this attaches under a retired key that is never served.
+	e.cache.AttachWire(key, raw)
 	return raw, true, nil
 }
 
@@ -566,7 +549,7 @@ func (e *ExecutionService) encodeResults(rs []perfdata.Result) ([]byte, error) {
 // context is checked at the store boundary — an expired request never
 // reaches the Mapping Layer.
 func (e *ExecutionService) InvokeRawToContext(ctx context.Context, op string, params []string, buf *bytes.Buffer) (bool, error) {
-	if op != OpGetPR || e.cacheRef() != nil {
+	if op != OpGetPR || e.cache != nil {
 		return false, nil
 	}
 	a, ok := e.wrapper.(mapping.ResultAppender)
@@ -761,23 +744,17 @@ func (e *ExecutionService) PerformanceResults(q perfdata.Query) ([]perfdata.Resu
 
 // performanceResults is PerformanceResults under a request context.
 func (e *ExecutionService) performanceResults(ctx context.Context, q perfdata.Query) ([]perfdata.Result, error) {
-	return e.resultsThrough(ctx, e.cacheRef(), q)
-}
-
-// resultsThrough answers a getPR query against one cache snapshot (which
-// may be nil for uncached instances).
-func (e *ExecutionService) resultsThrough(ctx context.Context, cache Cache, q perfdata.Query) ([]perfdata.Result, error) {
-	if cache == nil {
+	if e.cache == nil {
 		return e.fetchResults(ctx, q)
 	}
-	return e.resultsByKey(ctx, cache, e.versionedKey(q.Key()), q)
+	return e.resultsByKey(ctx, e.versionedKey(q.Key()), q)
 }
 
-// versionedKey prefixes a query key with the execution's current write
-// epoch. Keys are stamped once, at query start: a singleflight leader
-// that began before a PublishResults fills the cache under its pre-write
-// key, which no post-write reader can look up — the stale entry is
-// discarded by unreachability rather than by an explicit stamp
+// versionedKey prefixes a query key with the execution's current epoch.
+// Keys are stamped once, at query start: a singleflight leader that began
+// before a PublishResults or NotifyUpdate fills the cache under its
+// pre-write key, which no post-write reader can look up — the stale entry
+// is discarded by unreachability rather than by an explicit stamp
 // comparison. Post-write readers likewise never join a pre-write flight,
 // because the flights map is keyed by the versioned key too.
 func (e *ExecutionService) versionedKey(key string) string {
@@ -806,8 +783,8 @@ func (e *ExecutionService) versionedKey(key string) string {
 // error, before the Mapping Layer is reached. A leader that expires
 // mid-fetch still completes the fill — the result is complete by
 // construction, so the cache never holds a half-filled entry.
-func (e *ExecutionService) resultsByKey(ctx context.Context, cache Cache, key string, q perfdata.Query) ([]perfdata.Result, error) {
-	if rs, ok := cache.Get(key); ok {
+func (e *ExecutionService) resultsByKey(ctx context.Context, key string, q perfdata.Query) ([]perfdata.Result, error) {
+	if rs, ok := e.cache.Get(key); ok {
 		return rs, nil
 	}
 	e.flightMu.Lock()
@@ -824,7 +801,7 @@ func (e *ExecutionService) resultsByKey(ctx context.Context, cache Cache, key st
 	// A leader fills the cache before retiring its flight, so a request
 	// that finds neither a flight nor (on this stats-free re-check) an
 	// entry really is cold.
-	if rs, ok := cacheGetQuiet(cache, key); ok {
+	if rs, ok := e.cache.getQuiet(key); ok {
 		e.flightMu.Unlock()
 		return rs, nil
 	}
@@ -840,7 +817,7 @@ func (e *ExecutionService) resultsByKey(ctx context.Context, cache Cache, key st
 	if err == nil {
 		// Fill the cache before retiring the flight, so a request arriving
 		// after the flight is gone finds the entry.
-		cache.Put(key, rs, time.Since(start))
+		e.cache.Put(key, rs, time.Since(start))
 	}
 	f.rs, f.err = rs, err
 	e.flightMu.Lock()
@@ -892,18 +869,12 @@ func (e *ExecutionService) fetchResults(ctx context.Context, q perfdata.Query) (
 	return e.wrapper.PerformanceResults(q)
 }
 
-// NotifyUpdate announces a data-store update: memoized discovery state is
-// dropped, the Performance Result cache is replaced (stale entries must
-// not survive new data), live paging cursors are expired, and subscribers
-// are notified.
+// NotifyUpdate announces an external data-store update. It retires the
+// cached data exactly as the write path does (see retire: epoch bump,
+// counted cache purge, discovery state dropped), then expires live paging
+// cursors and notifies subscribers. The cache itself is never replaced.
 func (e *ExecutionService) NotifyUpdate(message string) {
-	e.mu.Lock()
-	e.foci, e.metrics, e.types, e.info, e.timeRange = nil, nil, nil, nil, nil
-	e.mu.Unlock()
-	if old := e.cacheRef(); old != nil {
-		fresh := NewCacheFromConfig(old.Config())
-		e.cache.Store(&fresh)
-	}
+	e.retire()
 	e.cursorMu.Lock()
 	e.cursors, e.cursorIDs, e.cursorBytes = nil, nil, 0
 	e.cursorMu.Unlock()
@@ -944,43 +915,48 @@ func (e *ExecutionService) PublishResults(rs []perfdata.Result) error {
 }
 
 // noteWrite applies the write-visibility sequence after a successful
-// store mutation, in order:
-//
-//  1. Bump the epoch — every previously cached key, and every key an
-//     in-flight singleflight leader will fill, becomes unreachable.
-//  2. Purge the cache — the retired entries' bytes release immediately
-//     instead of aging out of the budget (counted into invalidated).
-//  3. Drop memoized discovery state — a publish can introduce new
-//     metrics, foci, or types.
-//  4. Notify subscribers on UpdatesTopic.
-//
-// Unlike NotifyUpdate (an external whole-store reload), noteWrite keeps
-// the cache instance (only its entries die) and leaves live paging
-// cursors alone: a cursor pages a point-in-time snapshot slice, which
-// the Cache sharing contract already guarantees is never mutated.
+// store mutation: retire the cached data, then notify subscribers on
+// UpdatesTopic. Unlike NotifyUpdate (an external whole-store reload),
+// noteWrite leaves live paging cursors alone: a cursor pages a
+// point-in-time snapshot slice, which the Cache sharing contract already
+// guarantees is never mutated.
 func (e *ExecutionService) noteWrite(message string) {
 	e.publishes.Add(1)
-	e.epoch.Add(1)
-	if c := e.cacheRef(); c != nil {
-		e.invalidated.Add(int64(c.Invalidate()))
-	}
-	e.mu.Lock()
-	e.foci, e.metrics, e.types, e.info, e.timeRange = nil, nil, nil, nil, nil
-	e.mu.Unlock()
+	e.retire()
 	if e.hub != nil {
 		e.hub.Notify(UpdatesTopic, message)
 	}
 }
 
-// Epoch reports the execution's write generation — the number of
-// store-mutating PublishResults applied through this instance.
+// retire makes every pre-update answer unreachable, in order:
+//
+//  1. Bump the epoch — every previously cached key, and every key an
+//     in-flight singleflight leader will fill, becomes unreachable, and
+//     later readers cannot join a pre-update flight.
+//  2. Purge the cache — the retired entries' bytes release immediately
+//     instead of aging out of the budget (counted into invalidated).
+//  3. Drop memoized discovery state — new data can introduce new
+//     metrics, foci, or types.
+func (e *ExecutionService) retire() {
+	e.epoch.Add(1)
+	if e.cache != nil {
+		e.invalidated.Add(int64(e.cache.Invalidate()))
+	}
+	e.mu.Lock()
+	e.foci, e.metrics, e.types, e.info, e.timeRange = nil, nil, nil, nil, nil
+	e.mu.Unlock()
+}
+
+// Epoch reports the execution's data generation — the number of
+// store-mutating PublishResults plus NotifyUpdate calls applied to this
+// instance.
 func (e *ExecutionService) Epoch() int64 { return e.epoch.Load() }
 
 // Publishes reports how many PublishResults calls have mutated the store.
 func (e *ExecutionService) Publishes() int64 { return e.publishes.Load() }
 
 // Invalidations reports the cumulative number of cache entries purged by
-// the write path.
+// the write path and NotifyUpdate.
 func (e *ExecutionService) Invalidations() int64 { return e.invalidated.Load() }
 
 // engineStatser is the optional wrapper interface exposing the backing
@@ -996,11 +972,10 @@ type engineStatser interface {
 //	FindServiceData("/metrics")               — all metric names
 //	FindServiceData("/foci[value=/Process/0]") — focus existence check
 func (e *ExecutionService) ServiceData() map[string][]string {
-	cache := e.cacheRef()
 	_, writable := e.wrapper.(mapping.ResultWriter)
 	out := map[string][]string{
 		"executionID": {e.id},
-		"caching":     {strconv.FormatBool(cache != nil)},
+		"caching":     {strconv.FormatBool(e.cache != nil)},
 		"writable":    {strconv.FormatBool(writable)},
 		"epoch":       {strconv.FormatInt(e.epoch.Load(), 10)},
 		"publishes":   {strconv.FormatInt(e.publishes.Load(), 10)},
@@ -1009,26 +984,24 @@ func (e *ExecutionService) ServiceData() map[string][]string {
 	out["cursorEntries"] = []string{strconv.Itoa(cEntries)}
 	out["cursorBytes"] = []string{strconv.FormatInt(cBytes, 10)}
 	out["cursorEvictions"] = []string{strconv.FormatInt(cEvictions, 10)}
-	if cache != nil {
-		s := cache.Stats()
-		out["cachePolicy"] = []string{cache.Policy()}
+	if e.cache != nil {
+		s := e.cache.Stats()
+		out["cachePolicy"] = []string{e.cache.Policy()}
 		out["cacheHits"] = []string{strconv.FormatInt(s.Hits, 10)}
 		out["cacheMisses"] = []string{strconv.FormatInt(s.Misses, 10)}
 		out["cacheEvictions"] = []string{strconv.FormatInt(s.Evictions, 10)}
-		out["cacheEntries"] = []string{strconv.Itoa(cache.Len())}
-		out["cacheBytes"] = []string{strconv.FormatInt(cache.SizeBytes(), 10)}
+		out["cacheEntries"] = []string{strconv.Itoa(e.cache.Len())}
+		out["cacheBytes"] = []string{strconv.FormatInt(e.cache.SizeBytes(), 10)}
 		out["coalescedQueries"] = []string{strconv.FormatInt(e.coalesced.Load(), 10)}
 		out["cacheInvalidated"] = []string{strconv.FormatInt(e.invalidated.Load(), 10)}
-		if sl, ok := cache.(shardLoader); ok {
-			loads := sl.ShardLoads()
-			shards := make([]string, len(loads))
-			for i, l := range loads {
-				shards[i] = fmt.Sprintf("shard=%d|hits=%d|misses=%d|evictions=%d|entries=%d|bytes=%d",
-					i, l.Hits, l.Misses, l.Evictions, l.Entries, l.Bytes)
-			}
-			out["cacheShards"] = []string{strconv.Itoa(len(loads))}
-			out["cacheShardLoads"] = shards
+		loads := e.cache.ShardLoads()
+		shards := make([]string, len(loads))
+		for i, l := range loads {
+			shards[i] = fmt.Sprintf("shard=%d|hits=%d|misses=%d|evictions=%d|entries=%d|bytes=%d",
+				i, l.Hits, l.Misses, l.Evictions, l.Entries, l.Bytes)
 		}
+		out["cacheShards"] = []string{strconv.Itoa(len(loads))}
+		out["cacheShardLoads"] = shards
 	}
 	if es, ok := e.wrapper.(engineStatser); ok {
 		st := es.EngineStats()

@@ -372,7 +372,6 @@ type Manager struct {
 	perHost  map[string]int            // replica host -> instances created
 	creating []int                     // per-replica in-flight creation counts
 	createMs []float64                 // per-replica EWMA of per-instance creation ms
-	perID    bool                      // differential oracle: one call per ID
 }
 
 // NewManager builds a Manager over the given replica factories. A nil
@@ -393,16 +392,6 @@ func NewManager(policy ReplicaPolicy, factories ...ExecutionFactoryRef) (*Manage
 		creating:  make([]int, len(factories)),
 		createMs:  make([]float64, len(factories)),
 	}, nil
-}
-
-// SetBatching toggles plural CreateServices calls. Off, every missing ID
-// costs its own CreateService round trip (still grouped per replica and
-// run concurrently across replicas) — retained as the differential oracle
-// the batched path is tested against.
-func (m *Manager) SetBatching(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.perID = !on
 }
 
 // ExecutionHandles returns one GSH per execution ID, creating instances
@@ -505,19 +494,14 @@ func (m *Manager) assignLocked(ids []string) []int {
 }
 
 // createOn instantiates one replica's group of IDs — a single plural call
-// when both sides support it (and batching is on), per-ID calls otherwise
-// — then publishes the outcome to the cache and every waiter.
+// when the factory ref is a BatchFactoryRef, per-ID calls otherwise — then
+// publishes the outcome to the cache and every waiter.
 func (m *Manager) createOn(r int, group []string, pending map[string]*pendingCreate) {
 	f := m.factories[r]
-	m.mu.Lock()
-	perID := m.perID
-	m.mu.Unlock()
-
 	start := time.Now()
 	var handles []string // created prefix of group
 	var err error
-	bf, batchable := f.(BatchFactoryRef)
-	if batchable && !perID {
+	if bf, ok := f.(BatchFactoryRef); ok {
 		handles, err = bf.CreateExecutions(group)
 		if err != nil {
 			handles = nil // plural call is all-or-nothing

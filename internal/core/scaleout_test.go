@@ -196,9 +196,16 @@ func TestManagerBatchGroupsPerReplica(t *testing.T) {
 	}
 }
 
+// perIDRef hides a factory ref's CreateExecutions (and every other
+// optional interface), so the Manager creates each ID with its own
+// CreateExecution call — the per-ID oracle the batched path is tested
+// against.
+type perIDRef struct{ ExecutionFactoryRef }
+
 // TestManagerBatchedMatchesPerIDOracle differentially tests the batched
-// path against the retained per-ID oracle: same policy, same IDs, same
-// handles and same placement.
+// path against the per-ID oracle: same policy, same IDs, same handles and
+// same placement. slowBatchFactory reports no load, so hiding LoadReporter
+// behind perIDRef leaves the load-aware policy's inputs unchanged.
 func TestManagerBatchedMatchesPerIDOracle(t *testing.T) {
 	ids := make([]string, 25)
 	for i := range ids {
@@ -225,11 +232,16 @@ func TestManagerBatchedMatchesPerIDOracle(t *testing.T) {
 				for range c.started {
 				}
 			}()
-			m, err := NewManager(policy, a, b, c)
+			refs := []ExecutionFactoryRef{a, b, c}
+			if !batched {
+				for i := range refs {
+					refs[i] = perIDRef{refs[i]}
+				}
+			}
+			m, err := NewManager(policy, refs...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.SetBatching(batched)
 			hs, err := m.ExecutionHandles(ids)
 			if err != nil {
 				t.Fatal(err)
@@ -452,7 +464,7 @@ func TestGetPRCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cw := &countingExecWrapper{ExecutionWrapper: ew, delay: 50 * time.Millisecond}
-	svc := NewExecutionService("100", cw, NewLRU(0), nil)
+	svc := NewExecutionService("100", cw, NewCache("lru", 0), nil)
 	tr, _ := svc.TimeStartEnd()
 	q := perfdata.Query{Metric: "gflops", Time: tr, Type: "hpl"}
 
@@ -507,7 +519,7 @@ func TestGetPRCoalescingDistinctQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	cw := &countingExecWrapper{ExecutionWrapper: ew, delay: 20 * time.Millisecond}
-	svc := NewExecutionService("100", cw, NewLRU(0), nil)
+	svc := NewExecutionService("100", cw, NewCache("lru", 0), nil)
 	tr, _ := svc.TimeStartEnd()
 
 	var wg sync.WaitGroup
@@ -551,10 +563,13 @@ func TestColdBatchWireCalls(t *testing.T) {
 	if err != nil || len(ids) != 24 {
 		t.Fatalf("AllExecIDs: %v, %v", ids, err)
 	}
-	newRemoteManager := func() *Manager {
+	newRemoteManager := func(perID bool) *Manager {
 		refs := make([]ExecutionFactoryRef, replicas)
 		for i, host := range site.Hosts() {
 			refs[i] = NewRemoteFactoryRef(host)
+			if perID {
+				refs[i] = perIDRef{refs[i]}
+			}
 		}
 		m, err := NewManager(InterleavePolicy{}, refs...)
 		if err != nil {
@@ -571,7 +586,7 @@ func TestColdBatchWireCalls(t *testing.T) {
 	}
 
 	before := requests()
-	if _, err := newRemoteManager().ExecutionHandles(ids); err != nil {
+	if _, err := newRemoteManager(false).ExecutionHandles(ids); err != nil {
 		t.Fatal(err)
 	}
 	batchedCalls := requests() - before
@@ -581,9 +596,7 @@ func TestColdBatchWireCalls(t *testing.T) {
 	}
 
 	before = requests()
-	oracle := newRemoteManager()
-	oracle.SetBatching(false)
-	if _, err := oracle.ExecutionHandles(ids); err != nil {
+	if _, err := newRemoteManager(true).ExecutionHandles(ids); err != nil {
 		t.Fatal(err)
 	}
 	perIDCalls := requests() - before

@@ -41,14 +41,6 @@ type SiteConfig struct {
 	// empty means LRU. CacheCapacity 0 means unbounded entries.
 	CachePolicy   string
 	CacheCapacity int
-	// CacheBytes bounds each instance cache's footprint (decoded results
-	// plus attached wire envelopes); 0 means unbounded.
-	CacheBytes int64
-	// CacheShards hints the cache shard count; 0 picks the default.
-	CacheShards int
-	// CacheSingleLock selects the retained single-lock cache — the
-	// sharded cache's differential oracle and ablation hook.
-	CacheSingleLock bool
 	// Policy selects replica distribution; nil means interleaving.
 	Policy ReplicaPolicy
 	// Interceptors (e.g. a GSI verifier) run on every host.
@@ -162,15 +154,9 @@ func (s *Site) executionConstructor(w mapping.ApplicationWrapper) ogsi.Construct
 		if err != nil {
 			return nil, nil, err
 		}
-		var cache Cache
+		var cache *Cache
 		if !s.cfg.CachingOff {
-			cache = NewCacheFromConfig(CacheConfig{
-				Policy:     s.cfg.CachePolicy,
-				MaxEntries: s.cfg.CacheCapacity,
-				MaxBytes:   s.cfg.CacheBytes,
-				Shards:     s.cfg.CacheShards,
-				SingleLock: s.cfg.CacheSingleLock,
-			})
+			cache = NewCache(s.cfg.CachePolicy, s.cfg.CacheCapacity)
 		}
 		var hub *ogsi.NotificationHub
 		if s.cfg.Notifications {
@@ -256,7 +242,7 @@ func (s *Site) ExecutionServices(execID string) []*ExecutionService {
 }
 
 // NotifyUpdate announces a data-store update for one execution to every
-// live instance (dropping memoized state and caches) and their
+// live instance (retiring memoized state and cached results) and their
 // subscribers.
 func (s *Site) NotifyUpdate(execID, message string) {
 	for _, svc := range s.ExecutionServices(execID) {

@@ -41,7 +41,7 @@ func TestPerformanceResultsConsumesStream(t *testing.T) {
 		{Metric: "m", Focus: "/a", Type: "t", Time: perfdata.TimeRange{Start: 1, End: 2}, Value: 2.5},
 	}
 	w := &streamExec{results: want}
-	svc := NewExecutionService("e1", w, NewLRU(8), nil)
+	svc := NewExecutionService("e1", w, NewCache("lru", 8), nil)
 	q := perfdata.Query{Metric: "m", Time: perfdata.TimeRange{Start: 0, End: 10}}
 
 	got, err := svc.PerformanceResults(q)

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pperfgrid/internal/datagen"
 	"pperfgrid/internal/mapping"
@@ -79,7 +80,7 @@ func TestWritePathInvalidationCounts(t *testing.T) {
 			t.Fatalf("InvokeRaw: handled=%v err=%v", handled, err)
 		}
 	}
-	if n := svcX.cacheRef().Len(); n != len(xq) {
+	if n := svcX.cache.Len(); n != len(xq) {
 		t.Fatalf("X cache has %d entries before write, want %d", n, len(xq))
 	}
 
@@ -93,13 +94,13 @@ func TestWritePathInvalidationCounts(t *testing.T) {
 	if got := svcX.Invalidations(); got != int64(len(xq)) {
 		t.Fatalf("X invalidations = %d, want %d", got, len(xq))
 	}
-	if n := svcX.cacheRef().Len(); n != 0 {
+	if n := svcX.cache.Len(); n != 0 {
 		t.Fatalf("X cache has %d entries after write, want 0", n)
 	}
 	if got := svcY.Invalidations(); got != 0 {
 		t.Fatalf("write to X invalidated %d of Y's entries", got)
 	}
-	if n := svcY.cacheRef().Len(); n != len(yq) {
+	if n := svcY.cache.Len(); n != len(yq) {
 		t.Fatalf("Y cache has %d entries after X's write, want %d", n, len(yq))
 	}
 
@@ -250,6 +251,75 @@ func TestWritePathSingleflightVersionStamp(t *testing.T) {
 	}
 	if encodeJoined(rs) != encodeJoined(foll.rs) {
 		t.Fatal("read after write served the stale singleflight fill")
+	}
+}
+
+// TestNotifyUpdateSingleflightVersionStamp pins the same contract for an
+// external update: the store changes behind the service's back, then
+// NotifyUpdate announces it. A reader arriving after the notification
+// must not join the flight that read pre-update data — it fetches the
+// updated store itself.
+func TestNotifyUpdateSingleflightVersionStamp(t *testing.T) {
+	rma := datagen.PrestaRMA(datagen.RMAConfig{Executions: 1, MessageSizes: 4, Seed: 10})
+	inner, err := mapping.NewMemory(rma).ExecutionWrapper(rma.Execs[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedWrapper{ExecutionWrapper: inner, entered: make(chan struct{}, 4), gate: make(chan struct{})}
+	svc := NewExecutionService(rma.Execs[0].ID, g, NewCacheFromConfig(CacheConfig{Policy: "cost"}), nil)
+	q := perfdata.Query{Metric: "bandwidth", Time: rma.Execs[0].Time, Type: perfdata.UndefinedType}
+
+	type outcome struct {
+		rs  []perfdata.Result
+		err error
+	}
+	leader := make(chan outcome, 1)
+	go func() {
+		rs, err := svc.PerformanceResults(q)
+		leader <- outcome{rs, err}
+	}()
+	<-g.entered // the leader has read pre-update data and is now stalled
+
+	update := []perfdata.Result{{
+		Metric: "bandwidth", Focus: "/Comm/put/msgsize/1048576", Type: "presta",
+		Time: perfdata.TimeRange{Start: 10, End: 20}, Value: 239.5,
+	}}
+	if err := inner.(mapping.ResultWriter).PublishResults(update); err != nil {
+		t.Fatal(err)
+	}
+	svc.NotifyUpdate("store changed")
+
+	follower := make(chan outcome, 1)
+	go func() {
+		rs, err := svc.PerformanceResults(q)
+		follower <- outcome{rs, err}
+	}()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		close(g.gate)
+		<-leader
+		<-follower
+		t.Fatalf("post-update reader never reached the store (coalesced=%d)", svc.CoalescedQueries())
+	}
+	close(g.gate)
+
+	lead, foll := <-leader, <-follower
+	if lead.err != nil || foll.err != nil {
+		t.Fatalf("leader err=%v follower err=%v", lead.err, foll.err)
+	}
+	if len(foll.rs) != len(lead.rs)+len(update) {
+		t.Fatalf("leader saw %d results, post-update reader %d (want +%d)", len(lead.rs), len(foll.rs), len(update))
+	}
+	if got := svc.CoalescedQueries(); got != 0 {
+		t.Fatalf("post-update reader coalesced onto the pre-update flight: coalesced=%d", got)
+	}
+	rs, err := svc.PerformanceResults(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if encodeJoined(rs) != encodeJoined(foll.rs) {
+		t.Fatal("read after update served the stale singleflight fill")
 	}
 }
 

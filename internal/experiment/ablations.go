@@ -313,7 +313,7 @@ type CacheBytesRow struct {
 }
 
 // RunCacheBytesAblation drives the same skewed SMG98 mix as
-// RunCachePolicyAblation against byte-budgeted sharded caches: capacity
+// RunCachePolicyAblation against byte-budgeted caches: capacity
 // is accounted in result+wire bytes instead of entries, so one recurring
 // whole-trace result set competes against many small tail windows for the
 // same budget. PeakBytes is sampled after every query; it never exceeds

@@ -130,46 +130,6 @@ func TestRunCacheBytesAblation(t *testing.T) {
 	}
 }
 
-func TestRunTable5Concurrent(t *testing.T) {
-	cfg := Table5ConcurrentConfig{
-		Config:       Config{Scale: 0.001, Seed: 3, SMG98: datagen.SMG98Config{Executions: 1, Processes: 2, TimeBins: 4}},
-		Readers:      []int{1, 4},
-		Entries:      256,
-		OpsPerReader: 1500,
-	}
-	report, err := RunTable5Concurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Rows) != 4 { // 2 impls × 2 reader counts
-		t.Fatalf("rows = %d", len(report.Rows))
-	}
-	for _, row := range report.Rows {
-		if row.HitsPerSec <= 0 {
-			t.Errorf("%s@%d: hit throughput %v", row.Impl, row.Readers, row.HitsPerSec)
-		}
-		if row.HitRate < 0.9 {
-			t.Errorf("%s@%d: hot set not protected, hit rate %v", row.Impl, row.Readers, row.HitRate)
-		}
-		if row.Evictions == 0 {
-			t.Errorf("%s@%d: tail churn never evicted", row.Impl, row.Readers)
-		}
-	}
-	if report.SpeedupAt(4) <= 0 {
-		t.Errorf("speedup at 4 readers = %v", report.SpeedupAt(4))
-	}
-	if out := report.Render(); !strings.Contains(out, "Table 5 (concurrent)") {
-		t.Error("render incomplete")
-	}
-	// The ratio shape checks are bench territory (they depend on host
-	// parallelism); here only the structural checks must hold.
-	for _, line := range report.CheckShape() {
-		if strings.Contains(line, "hit rate") && strings.HasPrefix(line, "MISMATCH") {
-			t.Errorf("shape: %s", line)
-		}
-	}
-}
-
 func TestRunLocalBypass(t *testing.T) {
 	rows, err := RunLocalBypass(Config{Scale: 0.0005, Seed: 9}, 10)
 	if err != nil {

@@ -32,12 +32,8 @@ type Config struct {
 	// CachingOff disables the Performance Results cache.
 	CachingOff bool
 	// CachePolicy selects the cache replacement policy ("lru", "lfu",
-	// "cost"); empty means LRU. CacheBytes > 0 byte-budgets each
-	// instance cache; CacheSingleLock selects the retained single-lock
-	// cache implementation (the sharded cache's ablation baseline).
-	CachePolicy     string
-	CacheBytes      int64
-	CacheSingleLock bool
+	// "cost"); empty means LRU.
+	CachePolicy string
 }
 
 func (c Config) withDefaults() Config {
@@ -177,14 +173,12 @@ func newSource(name string, d *datagen.Dataset, metric, typ string, cfg Config,
 		return nil, err
 	}
 	site, err := core.StartSite(core.SiteConfig{
-		AppName:         name,
-		Wrappers:        wrappers,
-		Workers:         cfg.Workers,
-		CachingOff:      cfg.CachingOff,
-		CachePolicy:     cfg.CachePolicy,
-		CacheBytes:      cfg.CacheBytes,
-		CacheSingleLock: cfg.CacheSingleLock,
-		Policy:          policy,
+		AppName:     name,
+		Wrappers:    wrappers,
+		Workers:     cfg.Workers,
+		CachingOff:  cfg.CachingOff,
+		CachePolicy: cfg.CachePolicy,
+		Policy:      policy,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiment: start %s site: %w", name, err)
