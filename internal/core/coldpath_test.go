@@ -1,18 +1,20 @@
 package core
 
-// Differential tests for the cold getPR path: the vectorized,
-// zero-intermediate wire path (mapping.ResultAppender + the soap
-// streaming encoder, which Serve takes for uncached instances — through
-// InvokeRawToContext unpaged, one encoded page per paged call) must
-// produce byte-identical envelopes and identical result sets to the
-// row-at-a-time / string-building oracle, on the full and paged
-// protocols, for every store shape. The oracle lives here: a service over
-// an oracleWrapper fetches row by row, and its envelopes are built from
-// its results with perfdata.EncodeResults + soap.EncodeResponse.
+// Differential tests for the cold getPR path: the pooled-arena,
+// zero-intermediate wire path (AppendPerformanceResults into a recycled
+// arena + the soap streaming encoder, which Serve takes for every
+// uncached instance — through InvokeRawToContext unpaged, one encoded
+// page per paged call) must produce byte-identical envelopes and
+// identical result sets to the string-building oracle, on the full and
+// paged protocols, for every store shape. The oracle lives here: a
+// service over a sliceWrapper fetches each result set as one plain
+// materialized slice, and its envelopes are built from its results with
+// perfdata.EncodeResults + soap.EncodeResponse.
 
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"pperfgrid/internal/datagen"
@@ -23,7 +25,7 @@ import (
 )
 
 // coldShapes builds one uncached wrapper + representative query per
-// store shape (the paper's three data sources plus the memory oracle).
+// store shape (the paper's three data sources plus the native-XML store).
 func coldShapes(t *testing.T) map[string]struct {
 	build func() (mapping.ExecutionWrapper, error)
 	q     perfdata.Query
@@ -71,39 +73,33 @@ func coldShapes(t *testing.T) map[string]struct {
 			q:  perfdata.Query{Metric: "func_calls", Time: smg.Execs[0].Time, Type: perfdata.UndefinedType},
 			id: smg.Execs[0].ID,
 		},
+		"HPL-xml": {
+			build: func() (mapping.ExecutionWrapper, error) {
+				w, err := mapping.NewXML(hpl)
+				if err != nil {
+					return nil, err
+				}
+				return w.ExecutionWrapper(hpl.Execs[1].ID)
+			},
+			q:  perfdata.Query{Metric: "gflops", Time: hpl.Execs[1].Time, Type: perfdata.UndefinedType},
+			id: hpl.Execs[1].ID,
+		},
 	}
 }
 
-// oracleWrapper hides a wrapper's vectorized path (mapping.ResultAppender),
-// so a service over it fetches getPR results the row-at-a-time way.
-type oracleWrapper struct{ mapping.ExecutionWrapper }
+// sliceWrapper is the oracle's Mapping Layer: each getPR is the inner
+// wrapper's plain materialized PerformanceResults slice, copied into
+// dst — no pre-sized or pooled arena reaches the store.
+type sliceWrapper struct{ mapping.ExecutionWrapper }
 
-// oracleStreamer is an oracleWrapper that forwards the inner wrapper's row
-// stream (mapping.ResultStreamer).
-type oracleStreamer struct {
-	oracleWrapper
-	s mapping.ResultStreamer
+func (s sliceWrapper) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
+	rs, err := s.PerformanceResults(q)
+	return append(dst, rs...), err
 }
 
-func (o oracleStreamer) StreamPerformanceResults(q perfdata.Query, yield func(perfdata.Result) error) error {
-	return o.s.StreamPerformanceResults(q, yield)
-}
-
-// newOracleService builds an uncached service over w with the
-// vectorized path hidden: it streams rows when w can, and otherwise
-// answers through w's plain PerformanceResults.
-func newOracleService(t *testing.T, id string, w mapping.ExecutionWrapper) *ExecutionService {
-	t.Helper()
-	var ow mapping.ExecutionWrapper = oracleWrapper{w}
-	if s, ok := w.(mapping.ResultStreamer); ok {
-		ow = oracleStreamer{oracleWrapper{w}, s}
-	}
-	svc := NewExecutionService(id, ow, nil, nil)
-	var buf bytes.Buffer
-	if took, err := svc.InvokeRawToContext(context.Background(), OpGetPR, nil, &buf); took || err != nil {
-		t.Fatalf("raw streamer must decline over the row oracle (took=%v err=%v)", took, err)
-	}
-	return svc
+// newOracleService builds an uncached service over a sliceWrapper of w.
+func newOracleService(id string, w mapping.ExecutionWrapper) *ExecutionService {
+	return NewExecutionService(id, sliceWrapper{w}, nil, nil)
 }
 
 // oracleEncode renders results the string way: perfdata.EncodeResults,
@@ -120,7 +116,7 @@ func oracleEncode(t *testing.T, headers []soap.HeaderEntry, rs []perfdata.Result
 // oracleEnvelope renders the oracle's unpaged getPR envelope for q.
 func oracleEnvelope(t *testing.T, id string, w mapping.ExecutionWrapper, q perfdata.Query) []byte {
 	t.Helper()
-	rs, err := newOracleService(t, id, w).PerformanceResults(q)
+	rs, err := newOracleService(id, w).PerformanceResults(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +141,23 @@ func TestColdWireEnvelopeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !took {
-				t.Fatal("uncached appender-backed service must take the raw stream path")
+				t.Fatal("uncached service must take the raw stream path")
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("cold envelope diverges from the row/string oracle:\nvectorized %d bytes\noracle     %d bytes", buf.Len(), len(want))
+				t.Fatalf("cold envelope diverges from the string oracle:\nstreamed %d bytes\noracle   %d bytes", buf.Len(), len(want))
+			}
+			// Serve answers the unpaged getPR with the same streamed bytes.
+			sbuf := soap.GetBuffer()
+			defer soap.PutBuffer(sbuf)
+			reply, err := svc.Serve(context.Background(), ogsi.Call{Op: OpGetPR, Params: shape.q.WireParams()}, sbuf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Raw == nil || reply.Values != nil || !bytes.Equal(reply.Raw, want) {
+				t.Fatalf("Serve did not stream the oracle envelope (raw %d bytes, %d values)", len(reply.Raw), len(reply.Values))
+			}
+			if n := svc.WireEncodes(); n != 2 {
+				t.Fatalf("wireEncodes = %d after two streamed getPRs, want 2", n)
 			}
 			// The envelope carries real results, not a degenerate empty set.
 			resp, err := soap.DecodeResponse(buf.Bytes())
@@ -163,8 +172,8 @@ func TestColdWireEnvelopeByteIdentical(t *testing.T) {
 }
 
 // TestColdPagedEnvelopeByteIdentical pages the same query through two
-// fresh services (so cursor tokens align) — one on the vectorized raw
-// paged path, the row oracle's pages rendered the string way — and
+// fresh services (so cursor tokens align) — one on the streamed raw
+// paged path, the plain-slice oracle's pages rendered the string way — and
 // requires byte-identical envelopes page by page.
 func TestColdPagedEnvelopeByteIdentical(t *testing.T) {
 	for name, shape := range coldShapes(t) {
@@ -179,7 +188,7 @@ func TestColdPagedEnvelopeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			fast := NewExecutionService(shape.id, ewA, nil, nil)
-			oracle := newOracleService(t, shape.id, ewB)
+			oracle := newOracleService(shape.id, ewB)
 
 			const limit = 7
 			cursorF, cursorO := "", ""
@@ -191,7 +200,7 @@ func TestColdPagedEnvelopeByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if reply.Raw == nil {
-					t.Fatal("uncached appender-backed service must take the raw paged path")
+					t.Fatal("uncached service must take the raw paged path")
 				}
 				resp, err := soap.DecodeResponse(reply.Raw)
 				if err != nil {
@@ -221,10 +230,13 @@ func TestColdPagedEnvelopeByteIdentical(t *testing.T) {
 				}
 				cursorF, cursorO = next, nextO
 			}
-			// HPL is a whole-run store: one result, one terminal page. The
+			if n := fast.WireEncodes(); n != int64(pages) {
+				t.Fatalf("wireEncodes = %d after %d pages, want one per page", n, pages)
+			}
+			// HPL is a whole-run dataset: one result, one terminal page. The
 			// multi-page cursor machinery must be exercised by the series
 			// shapes.
-			if name != "HPL-wide" && pages < 2 {
+			if !strings.HasPrefix(name, "HPL-") && pages < 2 {
 				t.Fatalf("query paged in %d page(s); the paged comparison is vacuous", pages)
 			}
 		})
@@ -232,7 +244,7 @@ func TestColdPagedEnvelopeByteIdentical(t *testing.T) {
 }
 
 // TestColdResultSetMatchesOracle pins decoded result-set equality end to
-// end: the wire envelope from the vectorized path decodes (with the
+// end: the wire envelope from the streamed path decodes (with the
 // zero-copy parser, as the client does) to exactly the oracle's decoded
 // results.
 func TestColdResultSetMatchesOracle(t *testing.T) {
@@ -245,7 +257,7 @@ func TestColdResultSetMatchesOracle(t *testing.T) {
 			}
 			svc := NewExecutionService(shape.id, ew, nil, nil)
 
-			want, err := newOracleService(t, shape.id, ew).PerformanceResults(shape.q)
+			want, err := newOracleService(shape.id, ew).PerformanceResults(shape.q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +280,7 @@ func TestColdResultSetMatchesOracle(t *testing.T) {
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("result %d diverges:\nvectorized %+v\noracle     %+v", i, got[i], want[i])
+					t.Fatalf("result %d diverges:\nstreamed %+v\noracle   %+v", i, got[i], want[i])
 				}
 			}
 		})
@@ -311,8 +323,8 @@ func TestColdCachedRawMatchesOracleBytes(t *testing.T) {
 }
 
 // TestColdPathAllocs pins the acceptance criterion at the service level:
-// the vectorized cold path must allocate at least 5x less than the
-// row/string oracle on an SMG98-shaped query.
+// the streamed cold path must allocate at least 5x less than the
+// plain-slice/string oracle on an SMG98-shaped query.
 func TestColdPathAllocs(t *testing.T) {
 	shape := coldShapes(t)["SMG98-star"]
 	ew, err := shape.build()
@@ -320,7 +332,7 @@ func TestColdPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewExecutionService(shape.id, ew, nil, nil)
-	oracleSvc := newOracleService(t, shape.id, ew)
+	oracleSvc := newOracleService(shape.id, ew)
 	params := shape.q.WireParams()
 
 	measure := func(oracle bool) (allocs float64) {
@@ -350,7 +362,7 @@ func TestColdPathAllocs(t *testing.T) {
 	fast := measure(false)
 	oracle := measure(true)
 	if oracle < 5*fast {
-		t.Fatalf("cold-path allocation reduction below 5x: oracle %.0f allocs/op, vectorized %.0f", oracle, fast)
+		t.Fatalf("cold-path allocation reduction below 5x: oracle %.0f allocs/op, streamed %.0f", oracle, fast)
 	}
-	t.Logf("cold SMG98 getPR allocs/op: oracle %.0f, vectorized %.0f (%.1fx)", oracle, fast, oracle/fast)
+	t.Logf("cold SMG98 getPR allocs/op: oracle %.0f, streamed %.0f (%.1fx)", oracle, fast, oracle/fast)
 }

@@ -242,17 +242,16 @@ func (e *ExecutionService) InvokeContext(ctx context.Context, op string, params 
 }
 
 // Serve implements ogsi.Server. The Execution service is the one module
-// that knows whether it caches and whether its wrapper appends results in
-// batches, so the wire path of each call is chosen here:
+// that knows whether it caches, so the wire path of each call is chosen
+// here:
 //
 //   - unpaged getPR on a cached instance: the entry's encoded envelope,
 //     served verbatim (InvokeRawContext);
-//   - unpaged getPR on an uncached mapping.ResultAppender: the envelope
-//     encoded straight into buf (InvokeRawToContext);
+//   - unpaged getPR on an uncached instance, whatever its store: the
+//     envelope encoded straight into buf (InvokeRawToContext);
 //   - paged getPR: one page behind a cursor, encoded into buf (servePage);
-//   - everything else, including unpaged getPR on an uncached wrapper
-//     without a vectorized path (the XML store): string values for the
-//     transport to encode (InvokeContext).
+//   - everything else: string values for the transport to encode
+//     (InvokeContext).
 func (e *ExecutionService) Serve(ctx context.Context, c ogsi.Call, buf *bytes.Buffer) (ogsi.Reply, error) {
 	if c.Op == OpGetPR {
 		if c.Paged {
@@ -261,13 +260,10 @@ func (e *ExecutionService) Serve(ctx context.Context, c ogsi.Call, buf *bytes.Bu
 		if raw, took, err := e.InvokeRawContext(ctx, c.Op, c.Params); took || err != nil {
 			return ogsi.Reply{Raw: raw}, err
 		}
-		streamed, err := e.InvokeRawToContext(ctx, c.Op, c.Params, buf)
-		if err != nil {
+		if _, err := e.InvokeRawToContext(ctx, c.Op, c.Params, buf); err != nil {
 			return ogsi.Reply{}, err
 		}
-		if streamed {
-			return ogsi.Reply{Raw: buf.Bytes()}, nil
-		}
+		return ogsi.Reply{Raw: buf.Bytes()}, nil
 	}
 	vals, err := e.InvokeContext(ctx, c.Op, c.Params)
 	return ogsi.Reply{Values: vals}, err
@@ -540,20 +536,15 @@ func (e *ExecutionService) encodeResults(rs []perfdata.Result) ([]byte, error) {
 
 // InvokeRawToContext answers getPR on an uncached instance — the cold wire
 // path — by encoding the envelope straight into buf. The result set
-// decodes batch-at-a-time into a pooled arena (mapping.ResultAppender),
-// encodes into the transport's buffer, and the arena recycles:
-// steady-state cold queries materialize no per-row values, no per-result
-// strings, and no owned envelope slice. It declines (false, buf untouched)
-// for other operations, for cached instances, whose envelope must be
-// retained for the cache, and for wrappers without a vectorized path. The
-// context is checked at the store boundary — an expired request never
-// reaches the Mapping Layer.
+// appends into a pooled arena (mapping.ResultAppender), encodes into the
+// transport's buffer, and the arena recycles: steady-state cold queries
+// build no per-result strings and no owned envelope slice. It declines
+// (false, buf untouched) for other operations and for cached instances,
+// whose envelope must be retained for the cache. The context is checked
+// at the store boundary — an expired request never reaches the Mapping
+// Layer.
 func (e *ExecutionService) InvokeRawToContext(ctx context.Context, op string, params []string, buf *bytes.Buffer) (bool, error) {
 	if op != OpGetPR || e.cache != nil {
-		return false, nil
-	}
-	a, ok := e.wrapper.(mapping.ResultAppender)
-	if !ok {
 		return false, nil
 	}
 	q, err := perfdata.ParseQueryParams(params)
@@ -564,7 +555,7 @@ func (e *ExecutionService) InvokeRawToContext(ctx context.Context, op string, pa
 		return true, err
 	}
 	arena := mapping.GetResultArena(e.resultsHint())
-	rs, err := a.AppendPerformanceResults(q, *arena)
+	rs, err := e.wrapper.AppendPerformanceResults(q, *arena)
 	*arena = rs
 	if err != nil {
 		mapping.PutResultArena(arena)
@@ -832,14 +823,9 @@ func (e *ExecutionService) resultsByKey(ctx context.Context, key string, q perfd
 // Mapping Layer themselves.
 func (e *ExecutionService) CoalescedQueries() int64 { return e.coalesced.Load() }
 
-// fetchResults reaches the Mapping Layer for a getPR query. Wrappers
-// with a vectorized path (mapping.ResultAppender — the relational
-// wrappers decode minidb's column-oriented batches, the flat-file
-// wrapper filters during its byte-level re-parse) append straight into a
-// pre-sized slice the cache can retain; wrappers with only a row stream
-// (mapping.ResultStreamer) decode row by row; the rest — the XML store —
-// answer through plain PerformanceResults. The wrapper's type alone picks
-// the path. The returned slice is freshly allocated — never an arena —
+// fetchResults reaches the Mapping Layer for a getPR query: one
+// AppendPerformanceResults into a slice pre-sized from the previous
+// query. The returned slice is freshly allocated — never an arena —
 // because the cache (and callers) retain it.
 //
 // The context gate here is the "never reaches the Mapping Layer"
@@ -849,24 +835,18 @@ func (e *ExecutionService) fetchResults(ctx context.Context, q perfdata.Query) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if a, ok := e.wrapper.(mapping.ResultAppender); ok {
-		rs, err := a.AppendPerformanceResults(q, make([]perfdata.Result, 0, e.resultsHint()))
-		if err == nil {
-			e.noteResultLen(len(rs))
-		}
-		// The caller (and the cache, whose byte budget charges len, not
-		// cap) retains this slice: when the hint badly over-shot — a
-		// small query after a large one — hand back a right-sized copy
-		// instead of pinning the oversized backing array.
-		if excess := cap(rs) - len(rs); excess > 32 && cap(rs) > len(rs)+len(rs)/4 {
-			rs = append(make([]perfdata.Result, 0, len(rs)), rs...)
-		}
-		return rs, err
+	rs, err := e.wrapper.AppendPerformanceResults(q, make([]perfdata.Result, 0, e.resultsHint()))
+	if err == nil {
+		e.noteResultLen(len(rs))
 	}
-	if s, ok := e.wrapper.(mapping.ResultStreamer); ok {
-		return mapping.CollectResults(s, q)
+	// The caller (and the cache, whose byte budget charges len, not cap)
+	// retains this slice: when the hint badly over-shot — a small query
+	// after a large one — hand back a right-sized copy instead of pinning
+	// the oversized backing array.
+	if excess := cap(rs) - len(rs); excess > 32 && cap(rs) > len(rs)+len(rs)/4 {
+		rs = append(make([]perfdata.Result, 0, len(rs)), rs...)
 	}
-	return e.wrapper.PerformanceResults(q)
+	return rs, err
 }
 
 // NotifyUpdate announces an external data-store update. It retires the

@@ -14,20 +14,21 @@ import (
 	"pperfgrid/internal/container"
 	"pperfgrid/internal/datagen"
 	"pperfgrid/internal/mapping"
+	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/perfdata"
+	"pperfgrid/internal/soap"
 )
 
-// countingExecutionWrapper counts Mapping-Layer fetches. It deliberately
-// exposes only the plain ExecutionWrapper interface (no ResultAppender /
-// ResultStreamer), so every fetch funnels through PerformanceResults.
+// countingExecutionWrapper counts Mapping-Layer fetches: every getPR the
+// Semantic Layer makes is one AppendPerformanceResults.
 type countingExecutionWrapper struct {
 	mapping.ExecutionWrapper
 	calls atomic.Int64
 }
 
-func (c *countingExecutionWrapper) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
+func (c *countingExecutionWrapper) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
 	c.calls.Add(1)
-	return c.ExecutionWrapper.PerformanceResults(q)
+	return c.ExecutionWrapper.AppendPerformanceResults(q, dst)
 }
 
 func frontdoorService(t *testing.T) (*ExecutionService, *countingExecutionWrapper, perfdata.Query) {
@@ -46,12 +47,19 @@ func frontdoorService(t *testing.T) (*ExecutionService, *countingExecutionWrappe
 
 // TestExpiredContextNeverReachesMapping pins the deadline boundary at the
 // Mapping Layer: a request whose context is already expired is turned
-// away — on the plain, paged, and raw read paths — without a single
-// store fetch.
+// away — on the plain, paged, raw, and uncached streamed read paths —
+// without a single store fetch.
 func TestExpiredContextNeverReachesMapping(t *testing.T) {
 	svc, cw, q := frontdoorService(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+
+	cold := NewExecutionService("cold", cw, nil, nil)
+	buf := soap.GetBuffer()
+	defer soap.PutBuffer(buf)
+	if _, err := cold.Serve(ctx, ogsi.Call{Op: OpGetPR, Params: q.WireParams()}, buf); !errors.Is(err, context.Canceled) {
+		t.Errorf("uncached Serve: %v, want context.Canceled", err)
+	}
 
 	if _, err := svc.InvokeContext(ctx, OpGetPR, q.WireParams()); !errors.Is(err, context.Canceled) {
 		t.Errorf("InvokeContext: %v, want context.Canceled", err)
@@ -66,12 +74,20 @@ func TestExpiredContextNeverReachesMapping(t *testing.T) {
 		t.Fatalf("Mapping-Layer fetches = %d, want 0 for expired requests", got)
 	}
 
-	// The same query with a live context fetches exactly once.
+	// The same query with a live context fetches exactly once per
+	// service: the fake is on the read path.
 	if _, err := svc.InvokeContext(context.Background(), OpGetPR, q.WireParams()); err != nil {
 		t.Fatal(err)
 	}
 	if got := cw.calls.Load(); got != 1 {
-		t.Errorf("Mapping-Layer fetches = %d, want 1", got)
+		t.Fatalf("Mapping-Layer fetches = %d, want 1", got)
+	}
+	buf.Reset()
+	if _, err := cold.Serve(context.Background(), ogsi.Call{Op: OpGetPR, Params: q.WireParams()}, buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := cw.calls.Load(); got != 2 {
+		t.Errorf("Mapping-Layer fetches = %d after the uncached Serve, want 2", got)
 	}
 }
 
@@ -97,7 +113,7 @@ func TestSingleflightFollowerAbandonsWithoutOrphan(t *testing.T) {
 		_, err := svc.InvokeContext(context.Background(), OpGetPR, q.WireParams())
 		leaderDone <- err
 	}()
-	<-g.entered // the leader is inside the Mapping Layer, flight open
+	waitEntered(t, g) // the leader is inside the Mapping Layer, flight open
 
 	fctx, fcancel := context.WithCancel(context.Background())
 	followerDone := make(chan error, 1)

@@ -441,17 +441,17 @@ func TestPolicyByName(t *testing.T) {
 }
 
 // countingExecWrapper wraps an ExecutionWrapper, counting and slowing
-// PerformanceResults so coalescing windows are wide enough to test.
+// AppendPerformanceResults so coalescing windows are wide enough to test.
 type countingExecWrapper struct {
 	mapping.ExecutionWrapper
 	delay time.Duration
 	calls atomic.Int64
 }
 
-func (c *countingExecWrapper) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
+func (c *countingExecWrapper) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
 	c.calls.Add(1)
 	time.Sleep(c.delay)
-	return c.ExecutionWrapper.PerformanceResults(q)
+	return c.ExecutionWrapper.AppendPerformanceResults(q, dst)
 }
 
 // TestGetPRCoalescing: N concurrent identical cold getPR queries execute

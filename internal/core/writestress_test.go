@@ -154,19 +154,18 @@ func TestPublishNotWritable(t *testing.T) {
 }
 
 // gatedWrapper wraps a writable execution wrapper and, on
-// PerformanceResults, reads the store FIRST and then blocks until the
-// gate opens — the adversarial interleaving where a singleflight leader
-// holds pre-write data while a write lands, and completes (filling the
-// cache) only afterwards. It deliberately implements neither
-// ResultAppender nor ResultStreamer, so fetchResults takes this path.
+// AppendPerformanceResults (the Semantic Layer's one getPR read), reads
+// the store FIRST and then blocks until the gate opens — the adversarial
+// interleaving where a singleflight leader holds pre-write data while a
+// write lands, and completes (filling the cache) only afterwards.
 type gatedWrapper struct {
 	mapping.ExecutionWrapper
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (g *gatedWrapper) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	rs, err := g.ExecutionWrapper.PerformanceResults(q)
+func (g *gatedWrapper) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
+	rs, err := g.ExecutionWrapper.AppendPerformanceResults(q, dst)
 	g.entered <- struct{}{}
 	<-g.gate
 	return rs, err
@@ -174,6 +173,17 @@ func (g *gatedWrapper) PerformanceResults(q perfdata.Query) ([]perfdata.Result, 
 
 func (g *gatedWrapper) PublishResults(rs []perfdata.Result) error {
 	return g.ExecutionWrapper.(mapping.ResultWriter).PublishResults(rs)
+}
+
+// waitEntered waits for a read to reach the gated wrapper, failing fast
+// when none does.
+func waitEntered(t *testing.T, g *gatedWrapper) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no read reached the gated Mapping-Layer wrapper")
+	}
 }
 
 // TestWritePathSingleflightVersionStamp pins the version-stamp contract
@@ -207,7 +217,7 @@ func TestWritePathSingleflightVersionStamp(t *testing.T) {
 		rs, err := svc.PerformanceResults(q)
 		leader <- outcome{rs, err}
 	}()
-	<-g.entered // the leader has read pre-write data and is now stalled
+	waitEntered(t, g) // the leader has read pre-write data and is now stalled
 
 	if err := svc.PublishResults(write); err != nil {
 		t.Fatal(err)
@@ -221,7 +231,7 @@ func TestWritePathSingleflightVersionStamp(t *testing.T) {
 		rs, err := svc.PerformanceResults(q)
 		follower <- outcome{rs, err}
 	}()
-	<-g.entered
+	waitEntered(t, g)
 
 	select {
 	case <-leader:
@@ -278,7 +288,7 @@ func TestNotifyUpdateSingleflightVersionStamp(t *testing.T) {
 		rs, err := svc.PerformanceResults(q)
 		leader <- outcome{rs, err}
 	}()
-	<-g.entered // the leader has read pre-update data and is now stalled
+	waitEntered(t, g) // the leader has read pre-update data and is now stalled
 
 	update := []perfdata.Result{{
 		Metric: "bandwidth", Focus: "/Comm/put/msgsize/1048576", Type: "presta",

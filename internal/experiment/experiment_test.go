@@ -85,7 +85,7 @@ func TestTimedWrapperRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := ew.TimeStartEnd()
-	rs, err := ew.PerformanceResults(perfdata.Query{Metric: "gflops", Time: tr, Type: "hpl"})
+	rs, err := ew.AppendPerformanceResults(perfdata.Query{Metric: "gflops", Time: tr, Type: "hpl"}, nil)
 	if err != nil || len(rs) != 1 {
 		t.Fatalf("getPR: %v, %v", rs, err)
 	}

@@ -81,7 +81,8 @@ func payloadBytes(rs []perfdata.Result) int {
 }
 
 // TimedWrapper decorates an ApplicationWrapper so every getPR through it
-// records its Mapping-Layer duration and payload size into a Recorder.
+// (AppendPerformanceResults, the Semantic Layer's one read) records its
+// Mapping-Layer duration and payload size into a Recorder.
 type TimedWrapper struct {
 	mapping.ApplicationWrapper
 	Rec *Recorder
@@ -106,28 +107,12 @@ type timedExec struct {
 	rec *Recorder
 }
 
-func (e *timedExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	start := time.Now()
-	rs, err := e.ExecutionWrapper.PerformanceResults(q)
-	if err != nil {
-		return nil, err
-	}
-	e.rec.Record(time.Since(start), payloadBytes(rs))
-	return rs, nil
-}
-
-// AppendPerformanceResults forwards the vectorized cold path
-// (mapping.ResultAppender) with the same per-call recording, so timed
-// sources measure whichever path the Semantic Layer picks exactly once.
+// AppendPerformanceResults records each Mapping-Layer getPR — the one
+// read the Semantic Layer makes — with its duration and payload size.
 func (e *timedExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
-	a, ok := e.ExecutionWrapper.(mapping.ResultAppender)
-	if !ok {
-		rs, err := e.PerformanceResults(q) // records internally
-		return append(dst, rs...), err
-	}
 	before := len(dst)
 	start := time.Now()
-	out, err := a.AppendPerformanceResults(q, dst)
+	out, err := e.ExecutionWrapper.AppendPerformanceResults(q, dst)
 	if err != nil {
 		return out, err
 	}

@@ -7,12 +7,13 @@ import (
 	"time"
 
 	"pperfgrid/internal/datagen"
+	"pperfgrid/internal/minidb"
 	"pperfgrid/internal/perfdata"
 )
 
 // randPRQuery composes one getPR query over a dataset, mixing exact and
 // non-matching metrics/types, partial time windows, and focus filters —
-// the shapes the appender and the streaming oracle must agree on.
+// the shapes the appender and its reference models must agree on.
 func randPRQuery(rng *rand.Rand, d *datagen.Dataset) perfdata.Query {
 	e := d.Execs[rng.Intn(len(d.Execs))]
 	var metrics, foci, types []string
@@ -62,9 +63,82 @@ func lastSlash(s string) int {
 	return -1
 }
 
-// TestAppenderMatchesStreamOracle pins every ResultAppender to the
-// retained row-at-a-time ResultStreamer (or the plain query where no
-// stream exists): same results, same order.
+// rowOracle is the row-at-a-time reference decode of the relational
+// getPR: the wrapper's own plan (starExec.planPR, wideExec.prPlan)
+// consumed one rows.Next() at a time, each row decoded into a Result.
+// AppendPerformanceResults consumes the same plan through NextBatch.
+func rowOracle(t *testing.T, ew ExecutionWrapper, q perfdata.Query) []perfdata.Result {
+	t.Helper()
+	var (
+		st     *minidb.Stmt
+		args   []minidb.Value
+		decode func(row []minidb.Value) perfdata.Result
+	)
+	switch e := ew.(type) {
+	case *starExec:
+		plan, ok, err := e.planPR(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return nil
+		}
+		st, args = plan.st, plan.args
+		decode = func(row []minidb.Value) perfdata.Result {
+			start, _ := row[1].AsFloat()
+			end, _ := row[2].AsFloat()
+			val, _ := row[3].AsFloat()
+			return perfdata.Result{
+				Metric: q.Metric, Focus: row[0].String(), Type: plan.typeNames[row[4].Int],
+				Time: perfdata.TimeRange{Start: start, End: end}, Value: val,
+			}
+		}
+	case *wideExec:
+		var ok bool
+		var err error
+		st, ok, err = e.prPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return nil
+		}
+		args = []minidb.Value{minidb.Text(e.id)}
+		decode = func(row []minidb.Value) perfdata.Result {
+			val, _ := row[0].AsFloat()
+			start, _ := row[1].AsFloat()
+			end, _ := row[2].AsFloat()
+			return perfdata.Result{
+				Metric: q.Metric, Focus: "/", Type: row[3].String(),
+				Time: perfdata.TimeRange{Start: start, End: end}, Value: val,
+			}
+		}
+	default:
+		t.Fatalf("no row oracle for %T", ew)
+	}
+	rows, err := st.QueryStream(args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var out []perfdata.Result
+	for rows.Next() {
+		if r := decode(rows.Row()); q.Matches(r) {
+			out = append(out, r)
+		}
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestAppenderMatchesStreamOracle pins every wrapper's
+// AppendPerformanceResults to a reference model — same results, same
+// order: the relational wrappers to the row-at-a-time rowOracle, the
+// flat-file and XML wrappers to the Memory wrapper over the same
+// dataset. It also pins PerformanceResults to AppendPerformanceResults(q,
+// nil) and the append contract (dst's prefix survives).
 func TestAppenderMatchesStreamOracle(t *testing.T) {
 	datasets := map[string]*datagen.Dataset{
 		"hpl":   datagen.HPL(datagen.HPLConfig{Executions: 8, Seed: 31}),
@@ -75,25 +149,34 @@ func TestAppenderMatchesStreamOracle(t *testing.T) {
 		d := d
 		t.Run(dname, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(dname)) * 6151))
+			mem := NewMemory(d)
 			for wname, w := range wrapperSet(t, d) {
-				appenderQueries := 0
+				if wname == "memory" {
+					continue // the reference itself
+				}
+				nonEmpty := 0
 				for _, e := range d.Execs {
 					ew, err := w.ExecutionWrapper(e.ID)
 					if err != nil {
 						t.Fatalf("%s: %v", wname, err)
 					}
-					a, ok := ew.(ResultAppender)
-					if !ok {
-						continue
+					ref, err := mem.ExecutionWrapper(e.ID)
+					if err != nil {
+						t.Fatal(err)
 					}
 					for i := 0; i < 25; i++ {
 						q := randPRQuery(rng, d)
-						want, err := ew.PerformanceResults(q)
-						if err != nil {
-							t.Fatalf("%s oracle: %v", wname, err)
+						var want []perfdata.Result
+						switch wname {
+						case "star", "wide":
+							want = rowOracle(t, ew, q)
+						default:
+							if want, err = ref.AppendPerformanceResults(q, nil); err != nil {
+								t.Fatal(err)
+							}
 						}
 						prefix := []perfdata.Result{{Metric: "sentinel"}}
-						got, err := a.AppendPerformanceResults(q, prefix)
+						got, err := ew.AppendPerformanceResults(q, prefix)
 						if err != nil {
 							t.Fatalf("%s appender: %v", wname, err)
 						}
@@ -105,11 +188,20 @@ func TestAppenderMatchesStreamOracle(t *testing.T) {
 							t.Fatalf("%s %s divergence for %+v:\nappender %v\noracle   %v",
 								dname, wname, q, got, want)
 						}
-						appenderQueries++
+						pr, err := ew.PerformanceResults(q)
+						if err != nil {
+							t.Fatalf("%s PerformanceResults: %v", wname, err)
+						}
+						if len(pr) != len(got) || (len(got) > 0 && !reflect.DeepEqual(pr, got)) {
+							t.Fatalf("%s PerformanceResults diverges from its appender for %+v", wname, q)
+						}
+						if len(got) > 0 {
+							nonEmpty++
+						}
 					}
 				}
-				if wname != "xml" && appenderQueries == 0 {
-					t.Fatalf("%s wrapper does not implement ResultAppender", wname)
+				if nonEmpty == 0 {
+					t.Fatalf("%s: every query matched nothing; the comparison is vacuous", wname)
 				}
 			}
 		})
@@ -129,10 +221,6 @@ func TestLatencyAppenderForwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, ok := ew.(ResultAppender)
-	if !ok {
-		t.Fatal("latency-wrapped execution wrapper lost ResultAppender")
-	}
 	q := perfdata.Query{Metric: "bandwidth", Time: d.Execs[0].Time, Type: perfdata.UndefinedType}
 	want, err := ew.PerformanceResults(q)
 	if err != nil {
@@ -142,7 +230,7 @@ func TestLatencyAppenderForwards(t *testing.T) {
 		t.Fatal("representative query matched nothing; per-result delay untestable")
 	}
 	start := time.Now()
-	got, err := a.AppendPerformanceResults(q, nil)
+	got, err := ew.AppendPerformanceResults(q, nil)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

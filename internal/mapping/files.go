@@ -146,7 +146,7 @@ func (e *flatExec) TimeStartEnd() (perfdata.TimeRange, error) {
 }
 
 func (e *flatExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	return e.store.Query(e.id, q)
+	return collect(e, q)
 }
 
 // AppendPerformanceResults implements ResultAppender: the store's
@@ -291,5 +291,15 @@ func (e *xmlExec) TimeStartEnd() (perfdata.TimeRange, error) {
 }
 
 func (e *xmlExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	return e.store.Query(e.id, q)
+	return collect(e, q)
+}
+
+// AppendPerformanceResults implements ResultAppender by filtering the
+// re-decoded document into dst.
+func (e *xmlExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
+	m, err := e.full()
+	if err != nil {
+		return dst, err
+	}
+	return m.AppendPerformanceResults(q, dst)
 }

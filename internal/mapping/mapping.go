@@ -13,6 +13,9 @@
 //     re-parsed per query by the custom parser in package flatfile.
 //   - XMLWrapper — a native-XML store, re-decoded per query.
 //
+// Every wrapper answers getPR through one read method,
+// ExecutionWrapper.AppendPerformanceResults.
+//
 // The Latency decorator adds a configurable per-query delay to any
 // wrapper, calibrating the mapping-layer cost to the paper's 2004-era
 // testbed (440 MHz UltraSPARC hosts and PostgreSQL 7.4.1) so the Table 4
@@ -52,6 +55,11 @@ type ApplicationWrapper interface {
 
 // ExecutionWrapper is the mapping-layer contract behind an Execution
 // semantic object, mirroring the Execution PortType (Table 2).
+//
+// getPR has one read method, AppendPerformanceResults (see
+// ResultAppender): the Semantic Layer calls nothing else to fetch
+// results. PerformanceResults is the same query materialized into a fresh
+// slice, a convenience for direct callers.
 type ExecutionWrapper interface {
 	// Info returns general execution metadata.
 	Info() ([]perfdata.KV, error)
@@ -63,8 +71,10 @@ type ExecutionWrapper interface {
 	Types() ([]string, error)
 	// TimeStartEnd returns the execution's start and end times.
 	TimeStartEnd() (perfdata.TimeRange, error)
-	// PerformanceResults returns the results matching the query.
+	// PerformanceResults returns the results matching the query:
+	// AppendPerformanceResults(q, nil), or nil and the error.
 	PerformanceResults(q perfdata.Query) ([]perfdata.Result, error)
+	ResultAppender
 }
 
 // ErrNoSuchExecution reports a query for an execution ID the store does
@@ -103,27 +113,13 @@ type ResultWriter interface {
 	PublishResults(rs []perfdata.Result) error
 }
 
-// ResultStreamer is an optional extension of ExecutionWrapper. Wrappers
-// whose stores can produce results incrementally (the relational wrappers,
-// via minidb's streaming result iterator) implement it so the Semantic
-// Layer decodes each row straight into the slice it caches, instead of
-// materializing an intermediate result set. The yield callback must not
-// retain its argument's backing store or call back into the wrapper.
-//
-// It is retained as the row-at-a-time oracle of the vectorized cold path:
-// differential tests pin ResultAppender implementations to the stream's
-// output, result for result.
-type ResultStreamer interface {
-	StreamPerformanceResults(q perfdata.Query, yield func(perfdata.Result) error) error
-}
-
-// ResultAppender is the vectorized extension of ExecutionWrapper: the
-// cold getPR fast path. AppendPerformanceResults appends every result
-// matching q to dst (growing it as needed) and returns the extended
-// slice. The relational wrappers implement it by decoding minidb's
-// column-oriented ValueBatches straight into dst — no per-row []Value,
-// no per-result append through a yield callback — and the flat-file
-// wrapper by filtering records during its byte-level re-parse.
+// ResultAppender is the getPR read method every ExecutionWrapper has.
+// AppendPerformanceResults appends every result matching q to dst
+// (growing it as needed) and returns the extended slice, in the store's
+// native order. The relational wrappers decode minidb's column-oriented
+// ValueBatches straight into dst, the flat-file wrapper filters records
+// during its byte-level re-parse, and the XML wrapper filters its
+// re-decoded document.
 //
 // Ownership: the returned slice (and its backing array, which may have
 // been reallocated away from dst's) belongs to the caller; the wrapper
@@ -133,18 +129,14 @@ type ResultAppender interface {
 	AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error)
 }
 
-// CollectResults drains a streamer into a slice — the adapter behind
-// every materializing PerformanceResults built on a streaming wrapper.
-func CollectResults(s ResultStreamer, q perfdata.Query) ([]perfdata.Result, error) {
-	var out []perfdata.Result
-	err := s.StreamPerformanceResults(q, func(r perfdata.Result) error {
-		out = append(out, r)
-		return nil
-	})
+// collect materializes an appending query into a fresh slice: the body of
+// every wrapper's PerformanceResults.
+func collect(a ResultAppender, q perfdata.Query) ([]perfdata.Result, error) {
+	rs, err := a.AppendPerformanceResults(q, nil)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return rs, nil
 }
 
 // resultArenaPool recycles []perfdata.Result backing arrays for result
@@ -246,32 +238,18 @@ func (e *latencyExec) TimeStartEnd() (perfdata.TimeRange, error) {
 }
 
 func (e *latencyExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	e.l.pause()
-	rs, err := e.wrapped.PerformanceResults(q)
-	if err != nil {
-		return nil, err
-	}
-	if e.l.PerResult > 0 && len(rs) > 0 {
-		time.Sleep(time.Duration(len(rs)) * e.l.PerResult)
-	}
-	return rs, nil
+	return collect(e, q)
 }
 
-// AppendPerformanceResults implements ResultAppender, forwarding to the
-// wrapped wrapper's vectorized path when it has one (falling back to its
-// plain query otherwise). The per-result delay is charged in aggregate
-// after the underlying query returns, matching PerformanceResults.
+// AppendPerformanceResults forwards to the wrapped wrapper. The
+// per-result delay is charged in aggregate after the underlying query
+// returns (and has released the store's read lock): sleeping per row
+// would hold minidb's read lock for the whole calibrated latency and
+// serialize every concurrent query on the store.
 func (e *latencyExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
 	e.l.pause()
 	before := len(dst)
-	var err error
-	if a, ok := e.wrapped.(ResultAppender); ok {
-		dst, err = a.AppendPerformanceResults(q, dst)
-	} else {
-		var rs []perfdata.Result
-		rs, err = e.wrapped.PerformanceResults(q)
-		dst = append(dst, rs...)
-	}
+	dst, err := e.wrapped.AppendPerformanceResults(q, dst)
 	if err != nil {
 		return dst, err
 	}
@@ -291,42 +269,6 @@ func (e *latencyExec) PublishResults(rs []perfdata.Result) error {
 	}
 	e.l.pause()
 	return w.PublishResults(rs)
-}
-
-// StreamPerformanceResults implements ResultStreamer, forwarding to the
-// wrapped wrapper's stream when it has one. The per-result delay is
-// charged in aggregate after the underlying stream has finished (and
-// released the store's read lock), matching PerformanceResults — sleeping
-// inside the yield would hold minidb's read lock for the whole calibrated
-// latency and serialize every concurrent query on the store.
-func (e *latencyExec) StreamPerformanceResults(q perfdata.Query, yield func(perfdata.Result) error) error {
-	e.l.pause()
-	n := 0
-	count := func(r perfdata.Result) error {
-		n++
-		return yield(r)
-	}
-	var err error
-	if s, ok := e.wrapped.(ResultStreamer); ok {
-		err = s.StreamPerformanceResults(q, count)
-	} else {
-		var rs []perfdata.Result
-		rs, err = e.wrapped.PerformanceResults(q)
-		if err == nil {
-			for _, r := range rs {
-				if err = count(r); err != nil {
-					break
-				}
-			}
-		}
-	}
-	if err != nil {
-		return err
-	}
-	if e.l.PerResult > 0 && n > 0 {
-		time.Sleep(time.Duration(n) * e.l.PerResult)
-	}
-	return nil
 }
 
 // memoryExec is the generic in-memory execution representation shared by
@@ -368,16 +310,6 @@ func (e *memoryExec) Types() ([]string, error) {
 }
 
 func (e *memoryExec) TimeStartEnd() (perfdata.TimeRange, error) { return e.time, nil }
-
-func (e *memoryExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	var out []perfdata.Result
-	for _, r := range e.results {
-		if q.Matches(r) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
 
 func (e *memoryExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
 	for _, r := range e.results {
@@ -507,10 +439,8 @@ func (l *liveMemoryExec) TimeStartEnd() (perfdata.TimeRange, error) {
 	return l.view().TimeStartEnd()
 }
 func (l *liveMemoryExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	return l.view().PerformanceResults(q)
+	return collect(l, q)
 }
-
-// AppendPerformanceResults implements ResultAppender over the live view.
 func (l *liveMemoryExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
 	return l.view().AppendPerformanceResults(q, dst)
 }

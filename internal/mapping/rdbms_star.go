@@ -182,10 +182,8 @@ func (e *starExec) TimeStartEnd() (perfdata.TimeRange, error) {
 	return perfdata.TimeRange{Start: start, End: end}, nil
 }
 
-// PerformanceResults implements the star-schema getPR path by collecting
-// the streamed rows.
 func (e *starExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	return CollectResults(e, q)
+	return collect(e, q)
 }
 
 // starPRPlan is the resolved dimension half of one star-schema getPR:
@@ -284,45 +282,11 @@ func (e *starExec) planPR(q perfdata.Query) (plan starPRPlan, ok bool, err error
 	return plan, true, nil
 }
 
-// StreamPerformanceResults implements ResultStreamer: the dimension
+// AppendPerformanceResults implements ResultAppender: the dimension
 // lookups resolve first (small materialized queries), then the fact-table
-// join streams through minidb's result iterator, decoding each row into a
-// perfdata.Result handed to yield — no intermediate materialized copy of
-// the (potentially huge) fact scan exists. This row-at-a-time path is the
-// differential oracle for AppendPerformanceResults.
-func (e *starExec) StreamPerformanceResults(q perfdata.Query, yield func(perfdata.Result) error) error {
-	plan, ok, err := e.planPR(q)
-	if err != nil || !ok {
-		return err
-	}
-	rows, err := plan.st.QueryStream(plan.args...)
-	if err != nil {
-		return err
-	}
-	defer rows.Close()
-	for rows.Next() {
-		row := rows.Row()
-		start, _ := row[1].AsFloat()
-		end, _ := row[2].AsFloat()
-		val, _ := row[3].AsFloat()
-		if err := yield(perfdata.Result{
-			Metric: q.Metric,
-			Focus:  row[0].String(),
-			Type:   plan.typeNames[row[4].Int],
-			Time:   perfdata.TimeRange{Start: start, End: end},
-			Value:  val,
-		}); err != nil {
-			return err
-		}
-	}
-	return rows.Err()
-}
-
-// AppendPerformanceResults implements ResultAppender: the same fact-table
-// join consumed through minidb's vectorized NextBatch, decoding each
-// column-oriented batch straight into dst. No per-row []Value is
-// materialized and no per-result callback runs — this is the cold-path
-// counterpart of the streaming oracle above.
+// join streams through minidb's vectorized NextBatch, decoding each
+// column-oriented batch straight into dst. No per-row []Value and no
+// intermediate copy of the (potentially huge) fact scan is materialized.
 func (e *starExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
 	plan, ok, err := e.planPR(q)
 	if err != nil || !ok {

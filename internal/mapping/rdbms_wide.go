@@ -295,10 +295,8 @@ func (e *wideExec) TimeStartEnd() (perfdata.TimeRange, error) {
 	return perfdata.TimeRange{Start: start, End: end}, nil
 }
 
-// PerformanceResults answers a getPR query by collecting the streamed
-// rows.
 func (e *wideExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	return CollectResults(e, q)
+	return collect(e, q)
 }
 
 // prPlan resolves a getPR against the wide schema: metric and focus
@@ -414,43 +412,9 @@ func (e *wideExec) PublishResults(rs []perfdata.Result) error {
 	return nil
 }
 
-// StreamPerformanceResults implements ResultStreamer with a prepared
-// projection of the requested metric column, decoding rows as they
-// stream out of the point query. Retained as the row-at-a-time oracle
-// for AppendPerformanceResults.
-func (e *wideExec) StreamPerformanceResults(q perfdata.Query, yield func(perfdata.Result) error) error {
-	st, ok, err := e.prPlan(q)
-	if err != nil || !ok {
-		return err
-	}
-	rows, err := st.QueryStream(minidb.Text(e.id))
-	if err != nil {
-		return err
-	}
-	defer rows.Close()
-	for rows.Next() {
-		row := rows.Row()
-		val, _ := row[0].AsFloat()
-		start, _ := row[1].AsFloat()
-		end, _ := row[2].AsFloat()
-		r := perfdata.Result{
-			Metric: q.Metric, Focus: "/", Type: row[3].String(),
-			Time:  perfdata.TimeRange{Start: start, End: end},
-			Value: val,
-		}
-		if !q.Matches(r) {
-			continue
-		}
-		if err := yield(r); err != nil {
-			return err
-		}
-	}
-	return rows.Err()
-}
-
-// AppendPerformanceResults implements ResultAppender: the same point
-// query consumed through minidb's vectorized NextBatch, decoded column-
-// wise into dst.
+// AppendPerformanceResults implements ResultAppender with a prepared
+// projection of the requested metric column, consumed through minidb's
+// vectorized NextBatch and decoded column-wise into dst.
 func (e *wideExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
 	st, ok, err := e.prPlan(q)
 	if err != nil || !ok {

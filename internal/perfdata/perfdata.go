@@ -195,10 +195,19 @@ func appendTime(dst []byte, f float64) []byte {
 	return append(dst, '.', '0')
 }
 
-// ParseTimeRange parses "start-end".
+// ParseTimeRange parses "start-end". Either bound may be negative
+// ("-2.0--1.0"): a float holds a '-' only as its leading sign or as its
+// exponent's sign, so the separator is the first '-' after index 0 that
+// does not follow an exponent marker (e, E, or a hex float's p, P) or
+// another '-'.
 func ParseTimeRange(s string) (TimeRange, error) {
-	i := strings.LastIndex(s, "-")
-	if i <= 0 {
+	i := -1
+	for j := 1; j < len(s) && i < 0; j++ {
+		if s[j] == '-' && !strings.ContainsRune("eEpP-", rune(s[j-1])) {
+			i = j
+		}
+	}
+	if i < 0 {
 		return TimeRange{}, fmt.Errorf("perfdata: malformed time range %q", s)
 	}
 	start, err := strconv.ParseFloat(s[:i], 64)

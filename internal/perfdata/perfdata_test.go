@@ -113,7 +113,12 @@ func TestTimeRangeEncodeMatchesPaperExample(t *testing.T) {
 }
 
 func TestTimeRangeRoundTrip(t *testing.T) {
-	cases := []TimeRange{{0, 1}, {0.5, 11.047856}, {100, 100}, {3, 1e6}}
+	cases := []TimeRange{
+		{0, 1}, {0.5, 11.047856}, {100, 100}, {3, 1e6},
+		{-2, 1}, {-3, 0},
+		// A negative end: the encoding holds "--".
+		{-2, -1}, {-10.5, -0.25}, {-1, -1},
+	}
 	for _, r := range cases {
 		got, err := ParseTimeRange(r.Encode())
 		if err != nil {
