@@ -726,8 +726,8 @@ func BenchmarkColdGetPR(b *testing.B) {
 // BenchmarkScaleEngine measures the million-row engine paths on a
 // reduced (10^5-row) scale star schema: ordered-index range probes and
 // the ORDER BY+LIMIT ordered walk against the naive full-scan executor,
-// plus the hot point-query path the open-loop harness drives. The full
-// 10^6-row acceptance numbers come from pperfgrid-bench -scale-bench.
+// plus the hot execid point query. The benchmark's store-analytic
+// workload times the same statements at 10^6 rows on the disk engine.
 func BenchmarkScaleEngine(b *testing.B) {
 	db := minidb.NewDatabase()
 	scale, err := datagen.LoadScaleStar(db, datagen.ScaleConfig{

@@ -18,23 +18,6 @@
 //
 //	pperfgrid-bench -figure 12 -policy interleave,least-loaded -replicas 1,2,4,8
 //
-// The million-row engine evaluation — open-loop latency-vs-offered-load
-// curves over the scale star schema plus the indexed-vs-naive range and
-// top-k speedups, every scenario differentially gated against the naive
-// executor — runs via:
-//
-//	pperfgrid-bench -scale-bench -bench-json BENCH_PR6.json
-//	pperfgrid-bench -scale-bench -quick     # reduced rows, for CI smoke
-//
-// The mixed read/write evaluation — live ingestion (PublishResults with
-// epoch-versioned cache invalidation) running beside hot getPR readers,
-// at 95/5 and 50/50 reader/writer mixes, with throughput retention
-// against the read-only baseline — parameterized by -cache-policy and
-// -readers, runs via:
-//
-//	pperfgrid-bench -mixed-bench -bench-json BENCH_PR7.json
-//	pperfgrid-bench -mixed-bench -quick     # reduced ops, for CI smoke
-//
 // The federated scatter-gather evaluation — the Figure 12 successor for
 // the federation layer: live heterogeneous fleets of 2/4/8 sites under
 // an emulated WAN (seeded per-site latency, jitter, and failure
@@ -81,15 +64,11 @@ func main() {
 		policy    = flag.String("policy", "", "comma-separated replica policies for Figure 12 and the policy ablation ("+strings.Join(core.AllPolicyNames, ", ")+"); unset means interleave for Figure 12 and every policy for the ablation")
 		replicas  = flag.String("replicas", "1,2,4,8", "comma-separated replica host counts: Figure 12's scale-out axis; the policy ablation uses the largest")
 
-		scaleBench  = flag.Bool("scale-bench", false, "run only the million-row engine evaluation (open-loop load curves + indexed-vs-naive speedups)")
-		mixedBench  = flag.Bool("mixed-bench", false, "run only the mixed read/write evaluation (live ingestion beside hot readers; throughput retention vs read-only)")
-		fedBench    = flag.Bool("federation-bench", false, "run only the federated scatter-gather evaluation (sites x WAN latency x failure rate; completeness, goodput, tail latency)")
-		durBench    = flag.Bool("durability-bench", false, "run only the durable-engine evaluation (disk vs memory query sweep, zone-map + group-commit ablations, recovery curve)")
-		soakBench   = flag.Bool("soak-bench", false, "run only the C10k front-door soak (real loopback sockets x offered load; goodput, shed rate, shed fast-path latency, drain leak check)")
-		cachePolicy = flag.String("cache-policy", "cost", "cache replacement policy for the mixed read/write evaluation (lru, lfu, cost)")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "byte budget for the cache byte-budget ablation; 0 picks its default")
-		readers     = flag.String("readers", "1,4,16", "comma-separated reader counts for the mixed read/write evaluation")
-		benchJSON   = flag.String("bench-json", "", "write a standalone evaluation's results as machine-readable JSON to this path")
+		fedBench   = flag.Bool("federation-bench", false, "run only the federated scatter-gather evaluation (sites x WAN latency x failure rate; completeness, goodput, tail latency)")
+		durBench   = flag.Bool("durability-bench", false, "run only the durable-engine evaluation (disk vs memory query sweep, zone-map + group-commit ablations, recovery curve)")
+		soakBench  = flag.Bool("soak-bench", false, "run only the C10k front-door soak (real loopback sockets x offered load; goodput, shed rate, shed fast-path latency, drain leak check)")
+		cacheBytes = flag.Int64("cache-bytes", 0, "byte budget for the cache byte-budget ablation; 0 picks its default")
+		benchJSON  = flag.String("bench-json", "", "write a standalone evaluation's results as machine-readable JSON to this path")
 	)
 	flag.Parse()
 
@@ -98,7 +77,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if !*all && *table == 0 && *figure == 0 && !*ablations && !*scaleBench && !*mixedBench && !*fedBench && !*soakBench && !*durBench {
+	if !*all && *table == 0 && *figure == 0 && !*ablations && !*fedBench && !*soakBench && !*durBench {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -113,24 +92,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("pperfgrid-bench: -replicas: %v", err)
 	}
-	readerCounts, err := parseInts(*readers)
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: -readers: %v", err)
-	}
 
 	cfg := experiment.Config{Scale: *scale, Seed: *seed}
 	if *quick {
 		cfg.SMG98 = datagen.SMG98Config{Executions: 2, Processes: 2, TimeBins: 8}
 	}
 
-	if *scaleBench {
-		runScaleBench(*seed, *quick, *benchJSON)
-		return
-	}
-	if *mixedBench {
-		runMixedBench(cfg, *cachePolicy, readerCounts, *quick, *benchJSON)
-		return
-	}
 	if *fedBench {
 		runFederationBench(*seed, *quick, *benchJSON)
 		return
@@ -182,112 +149,6 @@ func main() {
 	}
 }
 
-// scaleBenchRecord is the BENCH_PR6.json schema: the open-loop
-// latency-vs-offered-load curves and the indexed-vs-naive speedups over
-// the scale star schema.
-type scaleBenchRecord struct {
-	Record   string                  `json:"record"`
-	Workload string                  `json:"workload"`
-	Scale    *experiment.ScaleReport `json:"scaleEngine"`
-}
-
-// runScaleBench runs the million-row engine evaluation standalone. Shape
-// checks print but never fail the process (quick mode is the CI smoke
-// step; the committed full-run BENCH_PR6.json records the reference
-// numbers). Differential mismatches and EXPLAIN assertion failures are
-// hard errors regardless of mode.
-func runScaleBench(seed int64, quick bool, jsonPath string) {
-	fmt.Println("=== Million-row engine evaluation (open-loop) ===")
-	cfg := experiment.ScaleBenchConfig{}
-	cfg.Scale.Seed = seed
-	rowsLabel := "10^6"
-	if quick {
-		// ~50k fact rows and a short, truncated sweep: exercises every
-		// code path (ordered index, knee logic, differential gate) in
-		// seconds instead of minutes.
-		cfg.Scale = datagen.ScaleConfig{Executions: 50, ResultsPerExec: 1000, Seed: seed}
-		cfg.Rates = []float64{500, 2000, 8000, 32000, 128000}
-		cfg.Duration = 250 * time.Millisecond
-		rowsLabel = "5*10^4 (quick)"
-	}
-	report, err := experiment.RunScaleBench(cfg)
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: scale bench: %v", err)
-	}
-	fmt.Print(report.Render())
-
-	if jsonPath == "" {
-		return
-	}
-	rec := scaleBenchRecord{
-		Record:   "PR6 million-row engine perf trajectory",
-		Workload: "scale star schema, " + rowsLabel + " Zipf-skewed fact rows; open-loop hot-hit/cold-miss/range-scan + range/top-k speedups",
-		Scale:    report,
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: marshal bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		log.Fatalf("pperfgrid-bench: write %s: %v", jsonPath, err)
-	}
-	fmt.Printf("\nwrote %s\n", jsonPath)
-}
-
-// mixedBenchRecord is the BENCH_PR7.json schema: the mixed read/write
-// Table 5 rows plus the derived retention figures the acceptance
-// criteria pin.
-type mixedBenchRecord struct {
-	Record             string                        `json:"record"`
-	Workload           string                        `json:"workload"`
-	Mixed              *experiment.Table5MixedReport `json:"mixedTable5"`
-	RetentionByReaders map[string]float64            `json:"mix95to5RetentionByReaders"`
-}
-
-// runMixedBench runs the mixed read/write evaluation standalone. Shape
-// checks print but never fail the process (quick mode is the CI smoke
-// step; the committed full-run BENCH_PR7.json records the reference
-// numbers).
-func runMixedBench(cfg experiment.Config, cachePolicy string, readerCounts []int, quick bool, jsonPath string) {
-	fmt.Println("=== Mixed read/write evaluation (live ingestion) ===")
-	t5m := experiment.Table5MixedConfig{Config: cfg}
-	t5m.CachePolicy = cachePolicy
-	t5m.Readers = readerCounts
-	if quick {
-		t5m.OpsPerReader = 3000
-	}
-	report, err := experiment.RunTable5Mixed(t5m)
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: mixed table 5: %v", err)
-	}
-	fmt.Print(report.Render())
-
-	if jsonPath == "" {
-		return
-	}
-	rec := mixedBenchRecord{
-		Record:             "PR7 write-path perf trajectory",
-		Workload:           "SMG98 star store; hot getPR readers beside paced PublishResults writers (per-execution epoch invalidation)",
-		Mixed:              report,
-		RetentionByReaders: map[string]float64{},
-	}
-	for _, row := range report.Rows {
-		if row.WriterShare == 5 {
-			rec.RetentionByReaders[strconv.Itoa(row.Readers)] = row.Retention
-		}
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: marshal bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		log.Fatalf("pperfgrid-bench: write %s: %v", jsonPath, err)
-	}
-	fmt.Printf("\nwrote %s\n", jsonPath)
-}
-
 // federationBenchRecord is the BENCH_PR8.json schema: the emulated-WAN
 // federation sweep plus the derived graceful-degradation tail ratios the
 // acceptance criteria pin.
@@ -334,15 +195,7 @@ func runFederationBench(seed int64, quick bool, jsonPath string) {
 			rec.TailRatioByLatency[strconv.Itoa(latMs)] = ratio
 		}
 	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: marshal bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		log.Fatalf("pperfgrid-bench: write %s: %v", jsonPath, err)
-	}
-	fmt.Printf("\nwrote %s\n", jsonPath)
+	writeBenchJSON(jsonPath, rec)
 }
 
 // soakBenchRecord is the BENCH_PR9.json schema: the C10k front-door
@@ -411,15 +264,7 @@ func runSoakBench(seed int64, quick bool, jsonPath string) {
 			rec.PastKneeRetention[key] = worst
 		}
 	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: marshal bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		log.Fatalf("pperfgrid-bench: write %s: %v", jsonPath, err)
-	}
-	fmt.Printf("\nwrote %s\n", jsonPath)
+	writeBenchJSON(jsonPath, rec)
 }
 
 // durabilityBenchRecord is the BENCH_PR10.json schema: the disk-vs-
@@ -474,15 +319,21 @@ func runDurabilityBench(seed int64, quick bool, jsonPath string) {
 			rec.RangeDiskOverMem = q.Ratio
 		}
 	}
+	writeBenchJSON(jsonPath, rec)
+}
+
+// writeBenchJSON writes one standalone evaluation's record as indented
+// JSON with a trailing newline.
+func writeBenchJSON(path string, rec any) {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		log.Fatalf("pperfgrid-bench: marshal bench json: %v", err)
 	}
 	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		log.Fatalf("pperfgrid-bench: write %s: %v", jsonPath, err)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		log.Fatalf("pperfgrid-bench: write %s: %v", path, err)
 	}
-	fmt.Printf("\nwrote %s\n", jsonPath)
+	fmt.Printf("\nwrote %s\n", path)
 }
 
 // shaped is any report that can render itself and check the paper's shape.

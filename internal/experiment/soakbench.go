@@ -24,16 +24,16 @@ import (
 // This file is the C10k front-door evaluation: an open-loop soak over
 // real loopback sockets against one admission-controlled site.
 //
-// Unlike the scale bench (openloop.go), which drives the query engine
-// in-process, every request here crosses a real TCP connection: each
-// simulated client owns one persistent socket (its own http.Transport,
-// capped at one connection), so the measurement includes the whole front
-// door — HTTP, SOAP decode, the ppg-deadline header, admission control,
-// the worker pool, and the typed overload shed. The load is open-loop
-// (see openloop.go for why): request i has an intended send time fixed
-// before the run, and latency is measured from that intended time, so
-// saturation shows up as latency and sheds instead of silently slowing
-// the arrival process.
+// Every request crosses a real TCP connection: each simulated client
+// owns one persistent socket (its own http.Transport, capped at one
+// connection), so the measurement includes the whole front door — HTTP,
+// SOAP decode, the ppg-deadline header, admission control, the worker
+// pool, and the typed overload shed. The load is open-loop, not
+// closed-loop: request i has an intended send time fixed before the run,
+// and latency is measured from that intended time, so saturation shows
+// up as latency and sheds instead of silently stretching the
+// inter-arrival gaps (the coordinated-omission error a closed loop
+// makes).
 //
 // The connection axis extends to thousands of sockets; the acceptance
 // criteria are the overload-behavior ones: goodput past the saturation
@@ -114,6 +114,10 @@ var DefaultSoakConns = []int{256, 1024, 4096}
 // DefaultSoakRates is the default offered-load sweep. It climbs past
 // single-worker capacity; the knee cutoff stops each sweep.
 var DefaultSoakRates = []float64{250, 500, 1000, 2000, 4000, 8000, 16000}
+
+// kneeFraction: a rate point whose goodput is below this fraction of the
+// offered rate is past the saturation knee.
+const kneeFraction = 0.7
 
 // soakPastKneePoints is how many points past the saturation knee each
 // sweep records: the acceptance criterion is about behavior *past* the

@@ -78,34 +78,6 @@ func (s *Sample) COV() float64 {
 	return s.StdDev() / m
 }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	min := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	max := s.values[0]
-	for _, v := range s.values[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // Percentile returns the p-th percentile (0..100) by nearest-rank.
 func (s *Sample) Percentile(p float64) float64 {
 	if len(s.values) == 0 {

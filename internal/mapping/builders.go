@@ -159,8 +159,8 @@ func openStore(opts minidb.Options) (db *minidb.Database, recovered bool, err er
 
 // DeclareStarIndexes declares the production star-schema index
 // configuration (StarIndexes + StarOrderedIndexes) on a loaded database.
-// Tests, benchmarks, and the scale harness reuse it so every star
-// database matches the wrapper's configuration.
+// Tests and benchmarks reuse it so every star database matches the
+// wrapper's configuration.
 func DeclareStarIndexes(db *minidb.Database) error {
 	for _, ix := range StarIndexes {
 		if err := db.CreateIndex(ix[0], ix[1]); err != nil {

@@ -128,7 +128,10 @@ func decodeBlock(payload []byte) (rows []Row, memBytes int64, err error) {
 	r := &rbuf{b: payload}
 	nrows := int(r.u32())
 	ncols := int(r.u32())
-	if r.err != nil || nrows < 0 || ncols <= 0 || nrows*ncols > len(payload) {
+	// Every value costs at least its kind byte, so nrows*ncols is bounded
+	// by the payload length; divide rather than multiply, because the
+	// product of two header words can overflow int.
+	if r.err != nil || nrows < 0 || ncols <= 0 || ncols > len(payload) || nrows > len(payload)/ncols {
 		return nil, 0, errf("exec", "segment: corrupt block header")
 	}
 	arena := make([]Value, nrows*ncols)

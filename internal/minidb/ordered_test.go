@@ -249,8 +249,8 @@ func TestOrderedBatchParity(t *testing.T) {
 }
 
 // TestExplainAccessPaths asserts the planner's choices through the
-// EXPLAIN introspection — the property the scale harness and CI rely on
-// to prove queries go through their indexes.
+// EXPLAIN introspection — the property the scale-star test and the
+// benchmark rely on to prove queries go through their indexes.
 func TestExplainAccessPaths(t *testing.T) {
 	db := orderedObsDB(t)
 	for _, tc := range []struct {

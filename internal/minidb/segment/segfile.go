@@ -205,7 +205,9 @@ func Open(path string) (*File, error) {
 	}
 	for i := range blocks {
 		b := &blocks[i]
-		if b.Off < segHeaderLen || b.Off+int64(b.Len) > footOff {
+		// Subtract rather than add: Off+Len can overflow for an Off
+		// near MaxInt64 (decodeFooter guarantees Len >= 0).
+		if b.Off < segHeaderLen || b.Off > footOff-int64(b.Len) {
 			return fail("block %d out of bounds", i)
 		}
 	}
@@ -218,6 +220,11 @@ func decodeFooter(footer []byte) ([]BlockInfo, error) {
 	}
 	n := binary.LittleEndian.Uint32(footer)
 	footer = footer[4:]
+	// Every entry takes at least 20 bytes; bound the count by what the
+	// footer can hold before sizing the directory from it.
+	if n > uint32(len(footer)/20) {
+		return nil, fmt.Errorf("footer claims %d blocks in %d bytes", n, len(footer))
+	}
 	blocks := make([]BlockInfo, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(footer) < 20 {
@@ -226,6 +233,9 @@ func decodeFooter(footer []byte) ([]BlockInfo, error) {
 		var b BlockInfo
 		b.Off = int64(binary.LittleEndian.Uint64(footer[0:8]))
 		b.Len = int32(binary.LittleEndian.Uint32(footer[8:12]))
+		if b.Len < 0 {
+			return nil, fmt.Errorf("footer entry %d: negative length %d", i, b.Len)
+		}
 		b.CRC = binary.LittleEndian.Uint32(footer[12:16])
 		metaLen := binary.LittleEndian.Uint32(footer[16:20])
 		footer = footer[20:]
