@@ -14,7 +14,10 @@
 //
 // A Binding presents a remote Application Grid service as a local object;
 // the same interface covers the paper's future-work "local bypass", where
-// a co-located client skips the Services Layer entirely.
+// a co-located client skips the Services Layer entirely. Both are reached
+// through one contract, ogsi.Server: a remote instance through its
+// container.Stub, a co-located one as the *ogsi.Instance itself. The
+// client always passes a nil buffer, so every reply is string values.
 //
 // Dialing is idempotent: a session keeps one stub per Grid Service
 // Handle, so repeated discovery and querying share the pooled persistent
@@ -39,44 +42,6 @@ import (
 	"pperfgrid/internal/perfdata"
 	"pperfgrid/internal/registry"
 )
-
-// Caller abstracts an invocable service endpoint: a SOAP stub for remote
-// services, or a direct in-process invoker for the local bypass.
-type Caller interface {
-	Call(op string, params ...string) ([]string, error)
-}
-
-// ContextCaller is a Caller whose calls honor a context: the deadline or
-// cancellation aborts the round trip in flight (container.Stub does this
-// through the HTTP request's context). The federation layer's per-site
-// deadlines and hedged requests depend on it; endpoints without it are
-// still usable, but a cancelled call runs to completion on the wire.
-type ContextCaller interface {
-	CallContext(ctx context.Context, op string, params ...string) ([]string, error)
-}
-
-// callContext invokes through the context-aware path when the endpoint
-// supports one, otherwise checks the context once and falls back to the
-// plain call.
-func callContext(ctx context.Context, c Caller, op string, params ...string) ([]string, error) {
-	if cc, ok := c.(ContextCaller); ok {
-		return cc.CallContext(ctx, op, params...)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.Call(op, params...)
-}
-
-// PagedCaller is a Caller that supports the paged-call protocol
-// (container.Stub does; the local bypass does not need to — its results
-// never cross the wire).
-type PagedCaller interface {
-	CallPaged(op, cursor string, limit int, params ...string) ([]string, string, error)
-}
-
-// Resolver turns a GSH string into a Caller.
-type Resolver func(handle string) (Caller, error)
 
 // Client is a PPerfGrid consumer session.
 type Client struct {
@@ -163,7 +128,7 @@ func (c *Client) newStub(h gsh.Handle) *container.Stub {
 }
 
 // remoteResolver resolves handles to credentialed SOAP stubs.
-func (c *Client) remoteResolver(handle string) (Caller, error) {
+func (c *Client) remoteResolver(handle string) (ogsi.Server, error) {
 	h, err := gsh.Parse(handle)
 	if err != nil {
 		return nil, err
@@ -200,18 +165,18 @@ func (c *Client) BindFactory(name string, factory gsh.Handle) (*Binding, error) 
 }
 
 // BindLocal binds to a co-located site, skipping the Services Layer — the
-// paper's future-work local-bypass optimization. Operations invoke the
-// site's service instances in-process, with no SOAP marshalling.
+// paper's future-work local-bypass optimization. Operations are served by
+// the site's *ogsi.Instance values in-process, with no SOAP marshalling.
 func (c *Client) BindLocal(name string, site *core.Site) (*Binding, error) {
 	hosting := site.Containers()[0].Hosting()
-	resolve := func(handle string) (Caller, error) {
+	resolve := func(handle string) (ogsi.Server, error) {
 		h, err := gsh.Parse(handle)
 		if err != nil {
 			return nil, err
 		}
 		for _, cont := range site.Containers() {
 			if in, ok := cont.Hosting().LookupHandle(h); ok {
-				return localCaller{in}, nil
+				return in, nil
 			}
 		}
 		return nil, fmt.Errorf("client: handle %s not hosted by local site", handle)
@@ -264,30 +229,11 @@ func (c *Client) Unbind(key string) {
 	delete(c.bindings, key)
 }
 
-// localCaller invokes an in-process instance directly.
-type localCaller struct {
-	in *ogsi.Instance
-}
-
-func (l localCaller) Call(op string, params ...string) ([]string, error) {
-	return l.in.Invoke(op, params)
-}
-
-// CallContext checks the context before invoking; an in-process dispatch
-// cannot be interrupted mid-invocation, but an already-expired deadline
-// is honored without doing the work.
-func (l localCaller) CallContext(ctx context.Context, op string, params ...string) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.in.Invoke(op, params)
-}
-
 // Binding is one bound Application Grid service instance.
 type Binding struct {
 	Entry   registry.ServiceEntry
-	app     Caller
-	resolve Resolver
+	app     ogsi.Server
+	resolve func(handle string) (ogsi.Server, error)
 	local   bool
 }
 
@@ -304,7 +250,7 @@ func (b *Binding) Local() bool { return b.local }
 
 // AppInfo returns the application's metadata.
 func (b *Binding) AppInfo() ([]perfdata.KV, error) {
-	out, err := b.app.Call(core.OpGetAppInfo)
+	out, err := ogsi.Invoke(context.Background(), b.app, core.OpGetAppInfo)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +259,7 @@ func (b *Binding) AppInfo() ([]perfdata.KV, error) {
 
 // NumExecs returns the number of available executions.
 func (b *Binding) NumExecs() (int, error) {
-	out, err := b.app.Call(core.OpGetNumExecs)
+	out, err := ogsi.Invoke(context.Background(), b.app, core.OpGetNumExecs)
 	if err != nil {
 		return 0, err
 	}
@@ -326,7 +272,7 @@ func (b *Binding) NumExecs() (int, error) {
 // ExecQueryParams returns the execution-describing attributes and their
 // value sets — the Application Query Panel's attribute discovery.
 func (b *Binding) ExecQueryParams() ([]perfdata.Attribute, error) {
-	rows, err := b.app.Call(core.OpGetExecQueryParams)
+	rows, err := ogsi.Invoke(context.Background(), b.app, core.OpGetExecQueryParams)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +304,7 @@ type AttrQuery struct {
 func (b *Binding) QueryExecutions(queries []AttrQuery) ([]*ExecutionRef, error) {
 	var handles []string
 	if len(queries) == 0 {
-		out, err := b.app.Call(core.OpGetAllExecs)
+		out, err := ogsi.Invoke(context.Background(), b.app, core.OpGetAllExecs)
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +317,7 @@ func (b *Binding) QueryExecutions(queries []AttrQuery) ([]*ExecutionRef, error) 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				outs[qi], errs[qi] = b.app.Call(core.OpGetExecs, q.Attribute, q.Value)
+				outs[qi], errs[qi] = ogsi.Invoke(context.Background(), b.app, core.OpGetExecs, q.Attribute, q.Value)
 			}()
 		}
 		wg.Wait()
@@ -417,17 +363,12 @@ func (b *Binding) ResolveExecutions(handles []string) ([]*ExecutionRef, error) {
 type ExecutionRef struct {
 	Binding *Binding
 	Handle  gsh.Handle
-	exec    Caller
+	exec    ogsi.Server
 }
 
 // Call exposes raw operations (e.g. FindServiceData) on the instance.
 func (e *ExecutionRef) Call(op string, params ...string) ([]string, error) {
-	return e.exec.Call(op, params...)
-}
-
-// CallContext is Call bounded by a context (see ContextCaller).
-func (e *ExecutionRef) CallContext(ctx context.Context, op string, params ...string) ([]string, error) {
-	return callContext(ctx, e.exec, op, params...)
+	return ogsi.Invoke(context.Background(), e.exec, op, params...)
 }
 
 // Info returns the execution's metadata.
@@ -437,7 +378,7 @@ func (e *ExecutionRef) Info() ([]perfdata.KV, error) {
 
 // InfoContext is Info bounded by a context.
 func (e *ExecutionRef) InfoContext(ctx context.Context) ([]perfdata.KV, error) {
-	out, err := callContext(ctx, e.exec, core.OpGetInfo)
+	out, err := ogsi.Invoke(ctx, e.exec, core.OpGetInfo)
 	if err != nil {
 		return nil, err
 	}
@@ -445,17 +386,17 @@ func (e *ExecutionRef) InfoContext(ctx context.Context) ([]perfdata.KV, error) {
 }
 
 // Foci returns the execution's unique focus values.
-func (e *ExecutionRef) Foci() ([]string, error) { return e.exec.Call(core.OpGetFoci) }
+func (e *ExecutionRef) Foci() ([]string, error) { return e.Call(core.OpGetFoci) }
 
 // Metrics returns the execution's unique metric names.
-func (e *ExecutionRef) Metrics() ([]string, error) { return e.exec.Call(core.OpGetMetrics) }
+func (e *ExecutionRef) Metrics() ([]string, error) { return e.Call(core.OpGetMetrics) }
 
 // Types returns the execution's unique collector types.
-func (e *ExecutionRef) Types() ([]string, error) { return e.exec.Call(core.OpGetTypes) }
+func (e *ExecutionRef) Types() ([]string, error) { return e.Call(core.OpGetTypes) }
 
 // TimeStartEnd returns the execution's time range.
 func (e *ExecutionRef) TimeStartEnd() (perfdata.TimeRange, error) {
-	out, err := e.exec.Call(core.OpGetTimeStartEnd)
+	out, err := e.Call(core.OpGetTimeStartEnd)
 	if err != nil {
 		return perfdata.TimeRange{}, err
 	}
@@ -476,7 +417,7 @@ func (e *ExecutionRef) TimeStartEnd() (perfdata.TimeRange, error) {
 // the service never serves a pre-write cached envelope afterwards. It
 // returns the number of results the service reports as published.
 func (e *ExecutionRef) PublishResults(rs []perfdata.Result) (int, error) {
-	out, err := e.exec.Call(core.OpPublishPR, perfdata.EncodeResults(rs)...)
+	out, err := e.Call(core.OpPublishPR, perfdata.EncodeResults(rs)...)
 	if err != nil {
 		return 0, err
 	}
@@ -496,7 +437,7 @@ func (e *ExecutionRef) PerformanceResults(q perfdata.Query) ([]perfdata.Result, 
 // the per-attempt budget the federation engine's hedges and retries are
 // built on.
 func (e *ExecutionRef) PerformanceResultsContext(ctx context.Context, q perfdata.Query) ([]perfdata.Result, error) {
-	out, err := callContext(ctx, e.exec, core.OpGetPR, q.WireParams()...)
+	out, err := ogsi.Invoke(ctx, e.exec, core.OpGetPR, q.WireParams()...)
 	if err != nil {
 		return nil, err
 	}
@@ -506,9 +447,8 @@ func (e *ExecutionRef) PerformanceResultsContext(ctx context.Context, q perfdata
 // PerformanceResultsPaged runs one getPR query through the paged wire
 // protocol and returns a Rows-style iterator: results stream to the caller
 // page by page instead of arriving in one giant envelope. pageSize <= 0
-// uses the service's default. Endpoints without paging support (the local
-// bypass) are served as a single page, so callers need not special-case
-// them.
+// uses the service's default. The local bypass answers a paged call as a
+// single terminal page, so callers need not special-case it.
 func (e *ExecutionRef) PerformanceResultsPaged(q perfdata.Query, pageSize int) *PRRows {
 	return &PRRows{exec: e.exec, params: q.WireParams(), pageSize: pageSize}
 }
@@ -521,7 +461,7 @@ func (e *ExecutionRef) PerformanceResultsPaged(q perfdata.Query, pageSize int) *
 //	}
 //	if err := rows.Err(); err != nil { ... }
 type PRRows struct {
-	exec     Caller
+	exec     ogsi.Server
 	params   []string
 	pageSize int
 
@@ -563,22 +503,15 @@ func (r *PRRows) Next() bool {
 	return true
 }
 
-// fetch retrieves the next page (or, against an endpoint without paging
-// support, the entire result set as one terminal page).
+// fetch retrieves the next page: the first opens the result set, later
+// ones continue it by cursor.
 func (r *PRRows) fetch() error {
-	if pc, ok := r.exec.(PagedCaller); ok {
-		page, next, err := pc.CallPaged(core.OpGetPR, r.cursor, r.pageSize, r.params...)
-		if err != nil {
-			return err
-		}
-		r.page, r.cursor, r.started = page, next, true
-		return nil
-	}
-	page, err := r.exec.Call(core.OpGetPR, r.params...)
+	c := ogsi.Call{Op: core.OpGetPR, Params: r.params, Paged: true, Cursor: r.cursor, Limit: r.pageSize}
+	reply, err := r.exec.Serve(context.Background(), c, nil)
 	if err != nil {
 		return err
 	}
-	r.page, r.cursor, r.started = page, "", true
+	r.page, r.cursor, r.started = reply.Values, reply.Next, true
 	return nil
 }
 
@@ -604,7 +537,7 @@ func (r *PRRows) Collect() ([]perfdata.Result, error) {
 
 // Destroy destroys the remote Execution instance.
 func (e *ExecutionRef) Destroy() error {
-	_, err := e.exec.Call(ogsi.OpDestroy)
+	_, err := e.Call(ogsi.OpDestroy)
 	return err
 }
 

@@ -4,6 +4,8 @@ package client
 // input-order results, and per-execution error isolation.
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 
 	"pperfgrid/internal/core"
 	"pperfgrid/internal/gsh"
+	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/perfdata"
 )
 
@@ -27,9 +30,9 @@ type gaugeCaller struct {
 	highCur *atomic.Int64 // high-water mark of cur
 }
 
-func (g *gaugeCaller) Call(op string, params ...string) ([]string, error) {
-	if op != core.OpGetPR {
-		return nil, fmt.Errorf("unexpected op %q", op)
+func (g *gaugeCaller) Serve(_ context.Context, c ogsi.Call, _ *bytes.Buffer) (ogsi.Reply, error) {
+	if c.Op != core.OpGetPR {
+		return ogsi.Reply{}, fmt.Errorf("unexpected op %q", c.Op)
 	}
 	g.calls.Add(1)
 	if g.cur != nil {
@@ -46,13 +49,13 @@ func (g *gaugeCaller) Call(op string, params ...string) ([]string, error) {
 		time.Sleep(g.delay)
 	}
 	if g.err != nil {
-		return nil, g.err
+		return ogsi.Reply{}, g.err
 	}
 	rs := []perfdata.Result{{
 		Metric: "gflops", Focus: "/", Type: "hpl",
 		Time: perfdata.TimeRange{Start: 0, End: 1}, Value: g.value,
 	}}
-	return perfdata.EncodeResults(rs), nil
+	return ogsi.Reply{Values: perfdata.EncodeResults(rs)}, nil
 }
 
 func fakeRefs(callers []*gaugeCaller) []*ExecutionRef {

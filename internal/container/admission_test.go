@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pperfgrid/internal/gsh"
+	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/soap"
 	"pperfgrid/internal/wsdl"
 )
@@ -223,7 +226,7 @@ func TestDeadlineExpiredWhileQueuedNeverInvokes(t *testing.T) {
 	// request exits via ctx.Done while the worker is still held.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := stub.CallContext(ctx, "count", "doomed")
+	_, err := stub.Serve(ctx, ogsi.Call{Op: "count", Params: []string{"doomed"}}, nil)
 	if err == nil {
 		t.Fatal("deadline-expired queued call succeeded, want failure")
 	}
@@ -251,19 +254,89 @@ func TestDeadlineExpiredWhileQueuedNeverInvokes(t *testing.T) {
 	}
 }
 
-// TestStubPropagatesDeadlineHeader pins the end-to-end deadline budget:
-// the stub attaches ppg-deadline and the container folds it into the
-// context Serve sees, with the remaining budget intact.
+// TestStubPropagatesDeadlineHeader pins the request every call shape
+// sends: the exact SOAP header-entry list, in order — the header
+// provider's entries, then ppg-pageSize and ppg-cursor exactly when the
+// call is paged (the cursor only on a continuation), then ppg-deadline
+// exactly when the context has a deadline. It also pins the end-to-end
+// deadline budget: the container folds ppg-deadline into the context Serve
+// sees, with the remaining budget intact.
 func TestStubPropagatesDeadlineHeader(t *testing.T) {
-	c := startContainer(t, Options{})
-	probe, _, stub := deployFake(t, c, 0)
+	var (
+		mu  sync.Mutex
+		got []soap.HeaderEntry
+	)
+	record := func(req *soap.Request, _ gsh.Handle) error {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append([]soap.HeaderEntry(nil), req.Headers...)
+		return nil
+	}
+	c := startContainer(t, Options{Interceptors: []Interceptor{record}})
+	probe, _, stub := deployFake(t, c, 9)
+	stub.SetHeaderProvider(func(op string, _ []string) []soap.HeaderEntry {
+		return []soap.HeaderEntry{{Name: "sig", Value: op}}
+	})
 
 	const budget = 500 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
-	if _, err := stub.CallContext(ctx, "probe", "x"); err != nil {
-		t.Fatal(err)
+	const anyBudget = "(0, budget]" // ppg-deadline's value depends on timing
+	sig := func(op string) soap.HeaderEntry { return soap.HeaderEntry{Name: "sig", Value: op} }
+	pageSize := func(v string) soap.HeaderEntry { return soap.HeaderEntry{Name: ogsi.HeaderPageSize, Value: v} }
+	cursor := soap.HeaderEntry{Name: ogsi.HeaderCursor, Value: "c4"}
+	deadline := soap.HeaderEntry{Name: ogsi.HeaderDeadline, Value: anyBudget}
+	// The fake names a cursor after its page's end offset: each paged
+	// open below (9 values, default limit 4) leaves "c4" live for the
+	// continuations that follow it.
+	cases := []struct {
+		name     string
+		deadline bool
+		call     ogsi.Call
+		want     []soap.HeaderEntry
+	}{
+		{name: "plain", call: ogsi.Call{Op: "probe", Params: []string{"x"}},
+			want: []soap.HeaderEntry{sig("probe")}},
+		{name: "paged, limit 0", call: ogsi.Call{Op: "list", Params: []string{"f"}, Paged: true},
+			want: []soap.HeaderEntry{sig("list"), pageSize("0")}},
+		{name: "continuation", call: ogsi.Call{Op: "list", Params: []string{"f"}, Paged: true, Cursor: "c4", Limit: 2},
+			want: []soap.HeaderEntry{sig("list"), pageSize("2"), cursor}},
+		{name: "paged, negative limit", call: ogsi.Call{Op: "list", Params: []string{"f"}, Paged: true, Limit: -3},
+			want: []soap.HeaderEntry{sig("list"), pageSize("0")}},
+		{name: "deadline", deadline: true, call: ogsi.Call{Op: "probe", Params: []string{"x"}},
+			want: []soap.HeaderEntry{sig("probe"), deadline}},
+		{name: "continuation under a deadline", deadline: true, call: ogsi.Call{Op: "list", Params: []string{"f"}, Paged: true, Cursor: "c4", Limit: 1},
+			want: []soap.HeaderEntry{sig("list"), pageSize("1"), cursor, deadline}},
 	}
+	for _, tc := range cases {
+		ctx := context.Background()
+		if tc.deadline {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, budget)
+			defer cancel()
+		}
+		if _, err := stub.Serve(ctx, tc.call, nil); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		mu.Lock()
+		sent := got
+		mu.Unlock()
+		if len(sent) != len(tc.want) {
+			t.Errorf("%s: headers = %+v, want %+v", tc.name, sent, tc.want)
+			continue
+		}
+		for i, w := range tc.want {
+			if w.Value != anyBudget {
+				if sent[i] != w {
+					t.Errorf("%s: header %d = %+v, want %+v", tc.name, i, sent[i], w)
+				}
+				continue
+			}
+			ms, err := strconv.Atoi(sent[i].Value)
+			if sent[i].Name != w.Name || err != nil || ms <= 0 || ms > int(budget/time.Millisecond) {
+				t.Errorf("%s: header %d = %+v, want %s in %s ms", tc.name, i, sent[i], w.Name, anyBudget)
+			}
+		}
+	}
+
 	probe.mu.Lock()
 	remaining := probe.remaining
 	probe.mu.Unlock()

@@ -7,9 +7,10 @@
 // envelope, locates the addressed instance, invokes the native operation,
 // and marshals the result (or a SOAP Fault) back — the server half of the
 // architecture-adapter pattern. The client half is the Stub type in
-// stub.go, which multiplexes every call over a shared pool of persistent
-// HTTP connections; both halves reuse request/response body buffers
-// through the soap package's buffer pool.
+// stub.go, which answers the same ogsi.Server contract as the instances it
+// addresses — Serve(ctx, ogsi.Call, buf) — by marshalling the call over a
+// shared pool of persistent HTTP connections; both halves reuse
+// request/response body buffers through the soap package's buffer pool.
 //
 // Every call reaches its instance through one dispatch point,
 // ogsi.Instance.Serve, and the reply comes back in one of two shapes:
@@ -21,8 +22,8 @@
 // (ogsi.HeaderPageSize, ogsi.HeaderCursor, ogsi.HeaderDeadline) that
 // parseCall folds into the ogsi.Call and the request context: a paged call
 // returns a large result array — getPR against an SMG98-sized store — in
-// bounded chunks instead of one giant envelope. Stub.CallPaged is the
-// client side.
+// bounded chunks instead of one giant envelope. Stub.Serve with a Paged
+// call is the client side.
 //
 // A Container may be configured with a fixed worker pool. A pool of size
 // one models the single-CPU Sun Ultra hosts of the paper's testbed:

@@ -21,7 +21,7 @@ import (
 type HeaderProvider func(op string, params []string) []soap.HeaderEntry
 
 // Stub is the client-side architecture adapter: it presents a grid service
-// instance as a local object whose Call method marshals the invocation to
+// instance as a local object whose Serve method marshals the invocation to
 // SOAP, posts it to the instance's endpoint, and demarshals the response.
 // A Stub is safe for concurrent use.
 type Stub struct {
@@ -73,63 +73,41 @@ func (s *Stub) SetHTTPClient(c *http.Client) { s.client = c }
 func (s *Stub) Handle() gsh.Handle { return s.handle }
 
 // Call invokes an operation on the remote instance and returns its string
-// array result. Remote failures surface as *soap.Fault errors.
+// array result: Serve under context.Background(), unpaged. Remote failures
+// surface as *soap.Fault errors.
 func (s *Stub) Call(op string, params ...string) ([]string, error) {
-	return s.CallContext(context.Background(), op, params...)
+	return ogsi.Invoke(context.Background(), s, op, params...)
 }
 
-// CallContext is Call under a caller-supplied context: the deadline (or
-// cancellation) aborts the HTTP round trip in flight, so a federated
-// fan-out's per-site budget propagates down to the transport instead of
-// waiting out the shared client's 60 s timeout. A cancelled call returns
-// an error wrapping ctx.Err().
-func (s *Stub) CallContext(ctx context.Context, op string, params ...string) ([]string, error) {
-	resp, err := s.roundTrip(ctx, op, nil, params)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Returns, nil
-}
-
-// CallPaged invokes an operation through the paged protocol: the cursor
-// and page size travel in SOAP header entries (ogsi.HeaderCursor,
-// ogsi.HeaderPageSize). An empty cursor opens a new paged result set; the
-// returned next cursor is "" once the set is exhausted. limit <= 0 lets
-// the service choose its default page size. Servers that do not page the
-// operation return the whole result as one terminal page, so callers can
-// use CallPaged unconditionally.
-func (s *Stub) CallPaged(op, cursor string, limit int, params ...string) ([]string, string, error) {
-	return s.CallPagedContext(context.Background(), op, cursor, limit, params...)
-}
-
-// CallPagedContext is CallPaged under a caller-supplied context; see
-// CallContext for the cancellation semantics.
-func (s *Stub) CallPagedContext(ctx context.Context, op, cursor string, limit int, params ...string) ([]string, string, error) {
-	extra := []soap.HeaderEntry{{Name: ogsi.HeaderPageSize, Value: strconv.Itoa(max(limit, 0))}}
-	if cursor != "" {
-		extra = append(extra, soap.HeaderEntry{Name: ogsi.HeaderCursor, Value: cursor})
-	}
-	resp, err := s.roundTrip(ctx, op, extra, params)
-	if err != nil {
-		return nil, "", err
-	}
-	next, _ := resp.Header(ogsi.HeaderCursor)
-	return resp.Returns, next, nil
-}
-
-// roundTrip posts one encoded request envelope and decodes the reply,
-// reusing pooled buffers for both bodies. The context bounds the whole
-// round trip: connection establishment, the write, and the response read.
-func (s *Stub) roundTrip(ctx context.Context, op string, extraHeaders []soap.HeaderEntry, params []string) (*soap.Response, error) {
+// Serve is the consumer side of ogsi.Server: it marshals c to a SOAP
+// request, posts it to the instance's endpoint and answers with the
+// reply's values. It never writes buf. A Paged call carries its page size
+// (ogsi.HeaderPageSize, limit <= 0 sent as 0: the service's default) and,
+// on a continuation, its cursor (ogsi.HeaderCursor) in SOAP header entries;
+// the reply's Next is the service's continuation cursor, "" once the set
+// is exhausted. Servers that do not page the operation return the whole
+// result as one terminal page, so callers can page unconditionally.
+//
+// The context bounds the whole round trip — connection establishment, the
+// write and the response read — so a federated fan-out's per-site budget
+// propagates down to the transport instead of waiting out the shared
+// client's 60 s timeout; a cancelled call returns an error wrapping
+// ctx.Err(). Its deadline also travels to the server as a relative
+// millisecond budget (ogsi.HeaderDeadline), so the container can expire
+// the request inside its own layers instead of doing doomed work until the
+// client hangs up.
+func (s *Stub) Serve(ctx context.Context, c ogsi.Call, _ *bytes.Buffer) (ogsi.Reply, error) {
 	var hdrs []soap.HeaderEntry
 	if s.headers != nil {
-		hdrs = s.headers(op, params)
+		hdrs = s.headers(c.Op, c.Params)
 	}
-	hdrs = append(hdrs, extraHeaders...)
-	// A context deadline travels to the server as a relative millisecond
-	// budget (ogsi.HeaderDeadline), so the container can expire the request
-	// inside its own layers instead of doing doomed work until the client
-	// hangs up. Rounded up: a truncated budget of 0 would be rejected.
+	if c.Paged {
+		hdrs = append(hdrs, soap.HeaderEntry{Name: ogsi.HeaderPageSize, Value: strconv.Itoa(max(c.Limit, 0))})
+		if c.Cursor != "" {
+			hdrs = append(hdrs, soap.HeaderEntry{Name: ogsi.HeaderCursor, Value: c.Cursor})
+		}
+	}
+	// Rounded up: a truncated budget of 0 would be rejected.
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := int64((time.Until(dl) + time.Millisecond - 1) / time.Millisecond); ms > 0 {
 			hdrs = append(hdrs, soap.HeaderEntry{Name: ogsi.HeaderDeadline, Value: strconv.FormatInt(ms, 10)})
@@ -140,35 +118,36 @@ func (s *Stub) roundTrip(ctx context.Context, op string, extraHeaders []soap.Hea
 	// returns while the Transport's write loop is still reading it, so a
 	// pooled buffer could be reset and rewritten mid-send. EncodeRequest
 	// does its scratch work in the pool and returns a right-sized copy.
-	reqBody, err := soap.EncodeRequest(op, hdrs, params)
+	reqBody, err := soap.EncodeRequest(c.Op, hdrs, c.Params)
 	if err != nil {
-		return nil, err
+		return ogsi.Reply{}, err
 	}
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, s.handle.URL(), bytes.NewReader(reqBody))
 	if err != nil {
-		return nil, fmt.Errorf("container: call %s on %s: %w", op, s.handle, err)
+		return ogsi.Reply{}, fmt.Errorf("container: call %s on %s: %w", c.Op, s.handle, err)
 	}
 	httpReq.Header.Set("Content-Type", soap.ContentType)
 	httpResp, err := s.client.Do(httpReq)
 	if err != nil {
-		return nil, fmt.Errorf("container: call %s on %s: %w", op, s.handle, err)
+		return ogsi.Reply{}, fmt.Errorf("container: call %s on %s: %w", c.Op, s.handle, err)
 	}
 	defer httpResp.Body.Close()
 	respBuf := soap.GetBuffer()
 	defer soap.PutBuffer(respBuf)
 	if _, err := respBuf.ReadFrom(httpResp.Body); err != nil {
-		return nil, fmt.Errorf("container: read response for %s: %w", op, err)
+		return ogsi.Reply{}, fmt.Errorf("container: read response for %s: %w", c.Op, err)
 	}
 	// DecodeResponse copies all strings out of the envelope, so both
 	// buffers can return to the pool when this function exits.
 	resp, err := soap.DecodeResponse(respBuf.Bytes())
 	if err != nil {
-		return nil, err // includes *soap.Fault for remote failures
+		return ogsi.Reply{}, err // includes *soap.Fault for remote failures
 	}
-	if resp.Operation != op {
-		return nil, fmt.Errorf("container: response for %q to a %q call", resp.Operation, op)
+	if resp.Operation != c.Op {
+		return ogsi.Reply{}, fmt.Errorf("container: response for %q to a %q call", resp.Operation, c.Op)
 	}
-	return resp, nil
+	next, _ := resp.Header(ogsi.HeaderCursor)
+	return ogsi.Reply{Values: resp.Returns, Next: next}, nil
 }
 
 // Definition fetches (once) and returns the remote instance's WSDL

@@ -134,12 +134,16 @@ func deployFake(t *testing.T, c *Container, n int) (*fakeServer, *ogsi.Instance,
 	return svc, in, Dial(in.Handle())
 }
 
+// reply unpacks a Serve result into values, next cursor and error.
+func reply(r ogsi.Reply, err error) ([]string, string, error) { return r.Values, r.Next, err }
+
 // TestServerContractOverWire drives the one dispatch contract through the
 // socket: every reply shape a Server can give, validation of fresh calls
 // only, the instance's own answers, and the request context.
 func TestServerContractOverWire(t *testing.T) {
 	c := startContainer(t, Options{})
-	deadlineCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	bg := context.Background()
+	deadlineCtx, cancel := context.WithTimeout(bg, time.Minute)
 	defer cancel()
 	cases := []struct {
 		name     string
@@ -166,19 +170,19 @@ func TestServerContractOverWire(t *testing.T) {
 			}},
 		{name: "values paged with next", want: []string{"value-000", "value-001"}, wantNext: true, served: 1,
 			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
-				return stub.CallPaged("list", "", 2, "f")
+				return reply(stub.Serve(bg, ogsi.Call{Op: "list", Params: []string{"f"}, Paged: true, Limit: 2}, nil))
 			}},
 		{name: "fresh paged call validated", fault: wsdl.ErrBadArity.Error(), served: 0,
 			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
-				return stub.CallPaged("list", "", 2)
+				return reply(stub.Serve(bg, ogsi.Call{Op: "list", Paged: true, Limit: 2}, nil))
 			}},
 		{name: "continuation not revalidated", want: []string{"value-002"}, served: 2,
 			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
-				_, next, err := stub.CallPaged("list", "", 2, "f")
+				_, next, err := reply(stub.Serve(bg, ogsi.Call{Op: "list", Params: []string{"f"}, Paged: true, Limit: 2}, nil))
 				if err != nil || next == "" {
 					t.Fatalf("open: next=%q err=%v", next, err)
 				}
-				return stub.CallPaged("list", next, 2)
+				return reply(stub.Serve(bg, ogsi.Call{Op: "list", Paged: true, Cursor: next, Limit: 2}, nil))
 			}},
 		{name: "destroyed instance faults", fault: "no such service instance", served: 0,
 			call: func(t *testing.T, stub *Stub, in *ogsi.Instance) ([]string, string, error) {
@@ -190,16 +194,15 @@ func TestServerContractOverWire(t *testing.T) {
 				if _, err := in.Serve(context.Background(), ogsi.Call{Op: "raw"}, new(bytes.Buffer)); !errors.Is(err, ogsi.ErrDestroyed) {
 					t.Fatalf("Serve after Destroy: %v, want ErrDestroyed", err)
 				}
-				return stub.CallPaged("raw", "", 2)
+				return reply(stub.Serve(bg, ogsi.Call{Op: "raw", Paged: true, Limit: 2}, nil))
 			}},
 		{name: "standard op paged is one terminal page", want: []string{"Fake"}, served: 0,
 			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
-				return stub.CallPaged(ogsi.OpFindServiceData, "", 1, "serviceType")
+				return reply(stub.Serve(bg, ogsi.Call{Op: ogsi.OpFindServiceData, Params: []string{"serviceType"}, Paged: true, Limit: 1}, nil))
 			}},
 		{name: "deadline visible in ctx", want: []string{"deadline"}, served: 1,
 			call: func(t *testing.T, stub *Stub, _ *ogsi.Instance) ([]string, string, error) {
-				out, err := stub.CallContext(deadlineCtx, "probe")
-				return out, "", err
+				return reply(stub.Serve(deadlineCtx, ogsi.Call{Op: "probe"}, nil))
 			}},
 	}
 	for _, tc := range cases {
@@ -227,8 +230,8 @@ func TestServerContractOverWire(t *testing.T) {
 	}
 }
 
-// TestPagedCallOverWire: stub.CallPaged drains the set in limit-sized
-// pages whose concatenation equals the unpaged Call.
+// TestPagedCallOverWire: Paged calls through stub.Serve drain the set in
+// limit-sized pages whose concatenation equals the unpaged Call.
 func TestPagedCallOverWire(t *testing.T) {
 	c := startContainer(t, Options{})
 	_, _, stub := deployFake(t, c, 19)
@@ -240,7 +243,7 @@ func TestPagedCallOverWire(t *testing.T) {
 	cursor := ""
 	pages := 0
 	for {
-		page, next, err := stub.CallPaged("list", cursor, 5, "f")
+		page, next, err := reply(stub.Serve(context.Background(), ogsi.Call{Op: "list", Params: []string{"f"}, Paged: true, Cursor: cursor, Limit: 5}, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +271,7 @@ func TestPagedCallAgainstUnpagedService(t *testing.T) {
 	c := startContainer(t, Options{})
 	in, _ := c.Hosting().DeployPersistent("Echo", echoService{}, echoDef())
 	stub := Dial(in.Handle())
-	page, next, err := stub.CallPaged("ping", "", 1, "a", "b")
+	page, next, err := reply(stub.Serve(context.Background(), ogsi.Call{Op: "ping", Params: []string{"a", "b"}, Paged: true, Limit: 1}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +409,7 @@ func TestUnknownOperationFaultsOverWire(t *testing.T) {
 		t.Errorf("fault does not name the operation: %+v", fault)
 	}
 	// Same through the paged protocol.
-	_, _, err = stub.CallPaged("noSuchOperation", "", 3)
+	_, err = stub.Serve(context.Background(), ogsi.Call{Op: "noSuchOperation", Paged: true, Limit: 3}, nil)
 	if !errors.As(err, &fault) {
 		t.Fatalf("paged: want fault, got %v", err)
 	}

@@ -263,23 +263,26 @@ func TestHugePageSizeContinuation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	all, err := exec.CallContext(ctx, OpGetPR, params...)
+	r, err := exec.Serve(ctx, ogsi.Call{Op: OpGetPR, Params: params}, nil)
+	all := r.Values
 	if err != nil || len(all) <= 3 {
 		t.Fatalf("getPR: %d values, %v; want more than one page of 3", len(all), err)
 	}
-	first, next, err := exec.CallPagedContext(ctx, OpGetPR, "", 3, params...)
+	r, err = exec.Serve(ctx, ogsi.Call{Op: OpGetPR, Params: params, Paged: true, Limit: 3}, nil)
+	first, next := r.Values, r.Next
 	if err != nil || len(first) != 3 || next == "" {
 		t.Fatalf("page 1: %d values, cursor %q, %v; want 3 values and a cursor", len(first), next, err)
 	}
-	rest, next, err := exec.CallPagedContext(ctx, OpGetPR, next, math.MaxInt64, params...)
+	r, err = exec.Serve(ctx, ogsi.Call{Op: OpGetPR, Params: params, Paged: true, Cursor: next, Limit: math.MaxInt64}, nil)
+	rest, next := r.Values, r.Next
 	if err != nil {
 		t.Errorf("continuation with page size MaxInt64: %v", err)
 	} else if next != "" || !reflect.DeepEqual(append(first, rest...), all) {
 		t.Errorf("continuation: %d values, cursor %q; want the remaining %d values and no cursor", len(rest), next, len(all)-3)
 	}
-	again, err := exec.CallContext(ctx, OpGetPR, params...)
-	if err != nil || !reflect.DeepEqual(again, all) {
-		t.Fatalf("getPR after the continuation: %d values, %v; want the site's worker back", len(again), err)
+	r, err = exec.Serve(ctx, ogsi.Call{Op: OpGetPR, Params: params}, nil)
+	if err != nil || !reflect.DeepEqual(r.Values, all) {
+		t.Fatalf("getPR after the continuation: %d values, %v; want the site's worker back", len(r.Values), err)
 	}
 }
 
@@ -329,8 +332,8 @@ func TestDrainReleasesCursorsAndGoroutines(t *testing.T) {
 	// Open a paged result set over the wire and abandon the cursor — the
 	// exact leak the drain must reclaim.
 	q := perfdata.Query{Metric: "bandwidth", Time: rma.Execs[0].Time, Type: perfdata.UndefinedType}
-	if _, next, err := exec.CallPaged(OpGetPR, "", 1, q.WireParams()...); err != nil || next == "" {
-		t.Fatalf("paged open: cursor %q, err %v; want a live cursor", next, err)
+	if r, err := exec.Serve(context.Background(), ogsi.Call{Op: OpGetPR, Params: q.WireParams(), Paged: true, Limit: 1}, nil); err != nil || r.Next == "" {
+		t.Fatalf("paged open: cursor %q, err %v; want a live cursor", r.Next, err)
 	}
 	if entries, _, _ := svc.CursorStats(); entries != 1 {
 		t.Fatalf("live cursors = %d, want 1", entries)

@@ -280,7 +280,7 @@ func TestMalformedGetPROneFault(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, unpaged := exec.Call(OpGetPR, "gflops")
-		_, _, paged := exec.CallPaged(OpGetPR, "", 4, "gflops")
+		_, paged := exec.Serve(context.Background(), ogsi.Call{Op: OpGetPR, Params: []string{"gflops"}, Paged: true, Limit: 4}, nil)
 		for _, err := range []error{unpaged, paged} {
 			var fault *soap.Fault
 			if !errors.As(err, &fault) || !strings.Contains(fault.String, wsdl.ErrBadArity.Error()) {

@@ -16,6 +16,7 @@ import (
 	"pperfgrid/internal/datagen"
 	"pperfgrid/internal/gsh"
 	"pperfgrid/internal/mapping"
+	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/perfdata"
 	"pperfgrid/internal/soap"
 	"pperfgrid/internal/viz"
@@ -329,7 +330,7 @@ func warmSoakConns(conns []soakConn, params [][]string, timeout time.Duration) e
 			defer func() { <-sem }()
 			for attempt := 0; ; attempt++ {
 				ctx, cancel := context.WithTimeout(context.Background(), timeout)
-				_, err := conns[i].stub.CallContext(ctx, core.OpGetPR, params[i%len(params)]...)
+				_, err := conns[i].stub.Serve(ctx, ogsi.Call{Op: core.OpGetPR, Params: params[i%len(params)]}, nil)
 				cancel()
 				if err == nil {
 					return
@@ -401,16 +402,16 @@ func runSoakPoint(w *soakWorkload, conns []soakConn, cfg SoakBenchConfig, rate f
 					// Open a paged result set and abandon the cursor after
 					// the first page: the cursor-table churn the budgets
 					// must bound and the drain must clean up.
-					_, _, err = conns[c].stub.CallPagedContext(ctx, core.OpGetPR, "", 1, w.params[i%len(w.params)]...)
+					_, err = conns[c].stub.Serve(ctx, ogsi.Call{Op: core.OpGetPR, Params: w.params[i%len(w.params)], Paged: true, Limit: 1}, nil)
 				case cfg.MissEvery > 0 && i%cfg.MissEvery == cfg.MissEvery/2:
 					// A unique cold query: the worker holds its slot for the
 					// (calibrated) Mapping-Layer fetch, and the requests
 					// arriving behind it build the queue admission control
 					// guards. At the default MissEvery=1 this is every
 					// non-paged request.
-					_, err = conns[c].stub.CallContext(ctx, core.OpGetPR, w.missParams(i)...)
+					_, err = conns[c].stub.Serve(ctx, ogsi.Call{Op: core.OpGetPR, Params: w.missParams(i)}, nil)
 				default:
-					_, err = conns[c].stub.CallContext(ctx, core.OpGetPR, w.params[i%len(w.params)]...)
+					_, err = conns[c].stub.Serve(ctx, ogsi.Call{Op: core.OpGetPR, Params: w.params[i%len(w.params)]}, nil)
 				}
 				cancel()
 				done := time.Now()

@@ -30,6 +30,15 @@ import (
 // WAL records are appended under the database write lock, so log order
 // always equals apply order. Fsyncs never run under db.mu.
 
+// Fixed disk-engine tuning. A fresh engine starts with zone-map block
+// skipping on; SetZoneMapPruning toggles it at run time.
+const (
+	// pageCacheShards is the decoded-block cache's shard count.
+	pageCacheShards = 8
+	// checkpointBytes is the WAL size that triggers a checkpoint rollover.
+	checkpointBytes = 8 << 20
+)
+
 // Options configures a disk-backed database opened with Open.
 type Options struct {
 	// Dir is the data directory (created if missing). Required.
@@ -37,26 +46,18 @@ type Options struct {
 	// PageCacheBytes is the decoded-block cache budget. 0 means the
 	// 64 MiB default; negative disables caching (the cold ablation).
 	PageCacheBytes int64
-	// PageCacheShards is rounded up to a power of two; 0 means 8.
-	PageCacheShards int
 	// DisableGroupCommit serializes committers, one fsync each — the
 	// baseline the group-commit speedup is measured against.
 	DisableGroupCommit bool
 	// SealRows is the tail length that triggers sealing into a segment,
 	// rounded up to a multiple of vecBlockSize. 0 means 4096.
 	SealRows int
-	// CheckpointBytes is the WAL size that triggers a checkpoint
-	// rollover. 0 means 8 MiB.
-	CheckpointBytes int64
 	// MergeSegments is the per-table segment-file count that triggers a
 	// merge compaction. 0 means 8.
 	MergeSegments int
 	// DisableAutoCompact stops the background compactor; tests drive
 	// sealing and checkpoints explicitly via Seal and Checkpoint.
 	DisableAutoCompact bool
-	// DisableZoneMaps starts the engine with zone-map block skipping off
-	// (runtime-togglable via SetZoneMapPruning) — the pruning ablation.
-	DisableZoneMaps bool
 }
 
 func (o *Options) normalize() {
@@ -66,16 +67,10 @@ func (o *Options) normalize() {
 	if o.PageCacheBytes < 0 {
 		o.PageCacheBytes = 0
 	}
-	if o.PageCacheShards <= 0 {
-		o.PageCacheShards = 8
-	}
 	if o.SealRows <= 0 {
 		o.SealRows = 4096
 	}
 	o.SealRows = (o.SealRows + vecBlockMask) &^ vecBlockMask
-	if o.CheckpointBytes <= 0 {
-		o.CheckpointBytes = 8 << 20
-	}
 	if o.MergeSegments <= 0 {
 		o.MergeSegments = 8
 	}
@@ -199,13 +194,13 @@ func Open(opts Options) (*Database, error) {
 		db:    db,
 		opts:  opts,
 		dir:   opts.Dir,
-		cache: segment.NewPageCache(opts.PageCacheBytes, opts.PageCacheShards),
+		cache: segment.NewPageCache(opts.PageCacheBytes, pageCacheShards),
 		files: make(map[uint64]*segment.File),
 		wake:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 	}
 	e.syncCond = sync.NewCond(&e.syncMu)
-	e.pruneOn.Store(!opts.DisableZoneMaps)
+	e.pruneOn.Store(true)
 	db.eng = e
 	if err := e.recover(); err != nil {
 		for _, f := range e.files {
@@ -326,7 +321,7 @@ func (e *diskEngine) logRecord(rec []byte) {
 		return
 	}
 	e.appended.Add(1)
-	if e.wal.Size() > e.opts.CheckpointBytes {
+	if e.wal.Size() > checkpointBytes {
 		e.kick()
 	}
 }
@@ -545,7 +540,7 @@ func (e *diskEngine) sweep() {
 		e.sealTable(name, e.opts.SealRows) // background pass: errors retried next sweep
 		e.mergeTable(name)
 	}
-	if e.wal.Size() > e.opts.CheckpointBytes {
+	if e.wal.Size() > checkpointBytes {
 		e.checkpoint()
 	}
 }
@@ -586,7 +581,7 @@ func (db *Database) Compact() error {
 			return err
 		}
 	}
-	if e.wal.Size() > e.opts.CheckpointBytes {
+	if e.wal.Size() > checkpointBytes {
 		return e.checkpoint()
 	}
 	return nil
@@ -941,9 +936,27 @@ func (e *diskEngine) recover() error {
 		}
 		decls = append(decls, d...)
 	}
-	// Indexes are built once over the final replayed state instead of
-	// incrementally per record — a replayed rewrite would otherwise
-	// trigger full rebuilds mid-stream.
+	err = e.buildIndexes(decls)
+	e.replaying = false
+	if err != nil {
+		return err
+	}
+
+	w, err := segment.OpenWALAppend(filepath.Join(e.dir, walFile), validLen)
+	if err != nil {
+		return err
+	}
+	e.wal = w
+	e.walID = walID
+	e.cleanupOrphans()
+	return nil
+}
+
+// buildIndexes builds the index declarations replay collected. Indexes
+// are built once over the final replayed state instead of incrementally
+// per record — a replayed rewrite would otherwise trigger full rebuilds
+// mid-stream. A declaration on a table that no longer exists is skipped.
+func (e *diskEngine) buildIndexes(decls []idxDecl) error {
 	for _, d := range decls {
 		t := e.db.tables[d.table]
 		if t == nil {
@@ -956,19 +969,9 @@ func (e *diskEngine) recover() error {
 			_, err = t.addIndex(d.column)
 		}
 		if err != nil {
-			e.replaying = false
 			return fmt.Errorf("minidb: wal replay index %s.%s: %w", d.table, d.column, err)
 		}
 	}
-	e.replaying = false
-
-	w, err := segment.OpenWALAppend(filepath.Join(e.dir, walFile), validLen)
-	if err != nil {
-		return err
-	}
-	e.wal = w
-	e.walID = walID
-	e.cleanupOrphans()
 	return nil
 }
 

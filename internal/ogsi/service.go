@@ -99,22 +99,39 @@ type Reply struct {
 	Next   string
 }
 
-// Server is optionally implemented by services that choose their own wire
-// path per call, with paging and raw envelope bytes as parameters of the
-// one entry point. The Execution service answers a
-// repeat getPR with its cached envelope, encodes a cold one straight into
-// buf, and pages large result sets behind a cursor.
+// Server is the one call contract on both sides of the wire. On the
+// provider side it is optionally implemented by services that choose their
+// own wire path per call, with paging and raw envelope bytes as parameters
+// of the one entry point: the Execution service answers a repeat getPR
+// with its cached envelope, encodes a cold one straight into buf, and
+// pages large result sets behind a cursor. On the consumer side
+// *Instance (the local bypass) and the client stub (container.Stub)
+// implement it, so a client reaches a co-located or a remote service
+// through the same method.
 //
 // ctx carries the caller's cancellation and HeaderDeadline budget; the
-// service propagates it down its own layers. buf is the transport's pooled
-// write buffer, never nil. By the time Serve runs, the hosting Instance has
-// rejected destroyed instances, answered the standard GridService
-// operations, and validated every fresh call (empty Cursor) against the
-// WSDL definition. Raw envelope bytes must equal what the transport would
-// encode from the equivalent Values, so the two are indistinguishable on
-// the wire. On error the buffer's contents are discarded.
+// implementation propagates it down its own layers. buf is the
+// transport's pooled write buffer; a nil buf means "answer with Values" —
+// there is no wire to write bytes to, as on every consumer-side call. Raw
+// envelope bytes must equal what the transport would encode from the
+// equivalent Values, so the two are indistinguishable on the wire. On
+// error the buffer's contents are discarded.
+//
+// A hosted service's Serve runs under Instance.Serve, which guarantees its
+// preconditions: buf is non-nil, destroyed instances are rejected, the
+// standard GridService operations are answered, and every fresh call
+// (empty Cursor) is validated against the WSDL definition. These hold
+// only under Instance.Serve, not under a stub, which forwards any call to
+// the remote container and leaves the checks to the Instance there.
 type Server interface {
 	Serve(ctx context.Context, c Call, buf *bytes.Buffer) (Reply, error)
+}
+
+// Invoke runs one unpaged call through s with a nil buffer, so the answer
+// is values, and returns them — the consumer side's shorthand for Serve.
+func Invoke(ctx context.Context, s Server, op string, params ...string) ([]string, error) {
+	r, err := s.Serve(ctx, Call{Op: op, Params: params}, nil)
+	return r.Values, err
 }
 
 // Destroyer is optionally implemented by services that must release
@@ -205,8 +222,7 @@ func (in *Instance) SetServiceData(name string, values ...string) {
 // with no deadline and no wire, so the answer is always the
 // implementation's string values.
 func (in *Instance) Invoke(op string, params []string) ([]string, error) {
-	r, err := in.Serve(context.Background(), Call{Op: op, Params: params}, nil)
-	return r.Values, err
+	return Invoke(context.Background(), in, op, params...)
 }
 
 // Serve is the instance's one dispatch point. A destroyed instance fails

@@ -10,6 +10,7 @@ import (
 	"pperfgrid/internal/container"
 	"pperfgrid/internal/federation/backoff"
 	"pperfgrid/internal/gsh"
+	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/soap"
 )
 
@@ -25,18 +26,14 @@ const (
 	lookupRetries = 1
 )
 
-// lookupCaller abstracts the registry stub's context-aware call for the
-// lookup path, so tests can pin the retry count without a wire.
-type lookupCaller interface {
-	CallContext(ctx context.Context, op string, params ...string) ([]string, error)
-}
-
 // Client is the typed proxy PPerfGrid clients and publishers use against a
 // remote registry — the analogue of the paper's Organization and Service
-// proxy classes over UDDI4J.
+// proxy classes over UDDI4J. Every call goes through one ogsi.Server, the
+// registry's container.Stub (a scripted fake in tests). Lookups are bounded
+// and retried once on transient failure; publishes and removals are sent
+// once.
 type Client struct {
-	stub *container.Stub
-	call lookupCaller
+	srv ogsi.Server
 
 	lookupTimeout time.Duration
 	policy        backoff.Policy
@@ -44,28 +41,8 @@ type Client struct {
 
 // Connect binds a client to the registry hosted at the given host:port.
 func Connect(host string) *Client {
-	return newClient(container.Dial(gsh.Persistent(host, ServiceType)))
-}
-
-// ConnectHandle binds a client to a registry named by a full GSH.
-func ConnectHandle(h gsh.Handle) *Client {
-	return newClient(container.Dial(h))
-}
-
-func newClient(stub *container.Stub) *Client {
-	return &Client{stub: stub, call: stub, lookupTimeout: DefaultLookupTimeout, policy: backoff.Default()}
-}
-
-// Stub exposes the underlying stub, e.g. to install security headers.
-func (c *Client) Stub() *container.Stub { return c.stub }
-
-// SetLookupTimeout overrides the per-attempt bound on lookup/browse
-// calls (<= 0 restores the default).
-func (c *Client) SetLookupTimeout(d time.Duration) {
-	if d <= 0 {
-		d = DefaultLookupTimeout
-	}
-	c.lookupTimeout = d
+	srv := container.Dial(gsh.Persistent(host, ServiceType))
+	return &Client{srv: srv, lookupTimeout: DefaultLookupTimeout, policy: backoff.Default()}
 }
 
 // lookup runs one read-only registry call with a per-attempt deadline
@@ -78,7 +55,7 @@ func (c *Client) lookup(op string, params ...string) ([]string, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), c.lookupTimeout)
-		rows, err := c.call.CallContext(ctx, op, params...)
+		rows, err := ogsi.Invoke(ctx, c.srv, op, params...)
 		cancel()
 		if err == nil {
 			return rows, nil
@@ -94,25 +71,25 @@ func (c *Client) lookup(op string, params ...string) ([]string, error) {
 
 // PublishOrganization creates or updates an organization entry.
 func (c *Client) PublishOrganization(o Organization) error {
-	_, err := c.stub.Call(OpPublishOrganization, o.Name, o.Contact, o.Description)
+	_, err := ogsi.Invoke(context.Background(), c.srv, OpPublishOrganization, o.Name, o.Contact, o.Description)
 	return err
 }
 
 // PublishService publishes a service entry.
 func (c *Client) PublishService(e ServiceEntry) error {
-	_, err := c.stub.Call(OpPublishService, e.Organization, e.Name, e.Description, e.FactoryHandle)
+	_, err := ogsi.Invoke(context.Background(), c.srv, OpPublishService, e.Organization, e.Name, e.Description, e.FactoryHandle)
 	return err
 }
 
 // RemoveService removes one published service.
 func (c *Client) RemoveService(org, name string) error {
-	_, err := c.stub.Call(OpRemoveService, org, name)
+	_, err := ogsi.Invoke(context.Background(), c.srv, OpRemoveService, org, name)
 	return err
 }
 
 // RemoveOrganization removes an organization and its services.
 func (c *Client) RemoveOrganization(name string) error {
-	_, err := c.stub.Call(OpRemoveOrganization, name)
+	_, err := ogsi.Invoke(context.Background(), c.srv, OpRemoveOrganization, name)
 	return err
 }
 

@@ -1,29 +1,32 @@
 package registry
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
 	"time"
 
 	"pperfgrid/internal/federation/backoff"
+	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/soap"
 )
 
-// fakeLookupCaller scripts lookup responses per call index.
-type fakeLookupCaller struct {
+// fakeRegistry scripts lookup responses per call index.
+type fakeRegistry struct {
 	calls int
 	fn    func(ctx context.Context, call int) ([]string, error)
 }
 
-func (f *fakeLookupCaller) CallContext(ctx context.Context, op string, params ...string) ([]string, error) {
+func (f *fakeRegistry) Serve(ctx context.Context, _ ogsi.Call, _ *bytes.Buffer) (ogsi.Reply, error) {
 	k := f.calls
 	f.calls++
-	return f.fn(ctx, k)
+	vals, err := f.fn(ctx, k)
+	return ogsi.Reply{Values: vals}, err
 }
 
-func hardenedClient(f *fakeLookupCaller) *Client {
-	c := &Client{call: f, lookupTimeout: 100 * time.Millisecond, policy: backoff.Default()}
+func hardenedClient(f *fakeRegistry) *Client {
+	c := &Client{srv: f, lookupTimeout: 100 * time.Millisecond, policy: backoff.Default()}
 	c.policy.Base = time.Millisecond
 	c.policy.Max = 2 * time.Millisecond
 	return c
@@ -33,7 +36,7 @@ func hardenedClient(f *fakeLookupCaller) *Client {
 // a transient failure earns exactly one retry — the second attempt's
 // answer is returned, and exactly two calls hit the wire.
 func TestLookupRetriesOnceOnTransientFailure(t *testing.T) {
-	f := &fakeLookupCaller{fn: func(ctx context.Context, call int) ([]string, error) {
+	f := &fakeRegistry{fn: func(ctx context.Context, call int) ([]string, error) {
 		if call == 0 {
 			return nil, errors.New("connection reset")
 		}
@@ -52,7 +55,7 @@ func TestLookupRetriesOnceOnTransientFailure(t *testing.T) {
 // TestLookupGivesUpAfterOneRetry pins the upper bound: persistent
 // transient failure means exactly two calls, then the error surfaces.
 func TestLookupGivesUpAfterOneRetry(t *testing.T) {
-	f := &fakeLookupCaller{fn: func(ctx context.Context, call int) ([]string, error) {
+	f := &fakeRegistry{fn: func(ctx context.Context, call int) ([]string, error) {
 		return nil, errors.New("connection refused")
 	}}
 	c := hardenedClient(f)
@@ -67,7 +70,7 @@ func TestLookupGivesUpAfterOneRetry(t *testing.T) {
 // TestLookupDoesNotRetryFaults pins that a SOAP fault — the registry
 // answering, not the network failing — is never retried.
 func TestLookupDoesNotRetryFaults(t *testing.T) {
-	f := &fakeLookupCaller{fn: func(ctx context.Context, call int) ([]string, error) {
+	f := &fakeRegistry{fn: func(ctx context.Context, call int) ([]string, error) {
 		return nil, &soap.Fault{Code: "Client", String: "no such organization"}
 	}}
 	c := hardenedClient(f)
@@ -84,7 +87,7 @@ func TestLookupDoesNotRetryFaults(t *testing.T) {
 // answers cannot hang a lookup — each attempt gets a deadline-carrying
 // context, and the whole call resolves within the two-attempt envelope.
 func TestLookupBoundsEachAttempt(t *testing.T) {
-	f := &fakeLookupCaller{fn: func(ctx context.Context, call int) ([]string, error) {
+	f := &fakeRegistry{fn: func(ctx context.Context, call int) ([]string, error) {
 		if _, ok := ctx.Deadline(); !ok {
 			t.Error("lookup attempt carried no deadline")
 		}

@@ -77,10 +77,13 @@ func New() *Registry {
 }
 
 // PublishOrganization records a new organization. Re-publishing an
-// existing name updates its contact information.
+// existing name updates its contact information. The wire row is
+// name|contact|description, split with SplitN, so only the description may
+// contain "|"; a "|" in the name or contact is rejected rather than read
+// back shifted into the next field.
 func (r *Registry) PublishOrganization(o Organization) error {
-	if o.Name == "" || strings.Contains(o.Name, "|") {
-		return fmt.Errorf("registry: bad organization name %q", o.Name)
+	if o.Name == "" || strings.Contains(o.Name+o.Contact, "|") {
+		return fmt.Errorf("registry: bad organization %q: empty name, or \"|\" in name or contact", o.Name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -93,10 +96,12 @@ func (r *Registry) PublishOrganization(o Organization) error {
 
 // PublishService records a service under an existing organization. The
 // factory handle must be a well-formed GSH. Duplicate service names within
-// an organization are rejected.
+// an organization are rejected. As for organizations, only the last field
+// of the wire row (the factory handle) may contain "|": one in the name or
+// description is rejected (an organization name never holds one).
 func (r *Registry) PublishService(e ServiceEntry) error {
-	if e.Name == "" || strings.Contains(e.Name, "|") {
-		return fmt.Errorf("registry: bad service name %q", e.Name)
+	if e.Name == "" || strings.Contains(e.Name+e.Description, "|") {
+		return fmt.Errorf("registry: bad service %q: empty name, or \"|\" in name or description", e.Name)
 	}
 	if _, err := gsh.Parse(e.FactoryHandle); err != nil {
 		return fmt.Errorf("registry: service %q: %w", e.Name, err)

@@ -151,10 +151,10 @@ func TestServiceEntryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Description parses up to the handle; handle is the 4th field so the
-	// pipe inside description would break framing — the registry rejects
-	// pipes in names, and descriptions are the 3rd of 4 SplitN fields, so
-	// a pipe in the description shifts the handle. Verify the documented
-	// limitation explicitly: round trip only without pipes.
+	// pipe inside description would break framing — descriptions are the
+	// 3rd of 4 SplitN fields, so a pipe in the description shifts the
+	// handle (which is why the registry rejects one at publish). Verify the
+	// codec's limitation explicitly: round trip only without pipes.
 	if got.Organization != "PSU" || got.Name != "HPL" {
 		t.Errorf("got %+v", got)
 	}
@@ -271,5 +271,64 @@ func TestClientOverWire(t *testing.T) {
 	// Server-side error surfaces through the proxy.
 	if _, err := client.Services("PSU"); err == nil {
 		t.Error("services of removed org over wire: want fault")
+	}
+}
+
+// TestPipeInAnyFieldRoundTripsOrIsRejected pins the wire rows' framing:
+// organization and service rows join their fields with "|" and split them
+// with SplitN, so a "|" in any field must either come back field for field
+// from FindOrganizations, Services and AllServices, or be rejected at
+// publish — never read back shifted into the next field. Restore goes
+// through the same checks.
+func TestPipeInAnyFieldRoundTripsOrIsRejected(t *testing.T) {
+	c := container.New(ogsi.NewHosting("x:0"), container.Options{})
+	if err := c.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := Deploy(c.Hosting(), New()); err != nil {
+		t.Fatal(err)
+	}
+	client := Connect(c.Host())
+
+	for k := 0; k < 3; k++ {
+		o := Organization{Name: fmt.Sprintf("org%d", k), Contact: "c", Description: "d"}
+		*[]*string{&o.Name, &o.Contact, &o.Description}[k] += "|x"
+		if err := client.PublishOrganization(o); err != nil {
+			continue
+		}
+		got, err := client.FindOrganizations(o.Name)
+		if err != nil || len(got) != 1 || got[0] != o {
+			t.Errorf("organization with \"|\" in field %d: published %+v, read back %+v (%v)", k, o, got, err)
+		}
+	}
+
+	if err := client.PublishOrganization(Organization{Name: "PSU"}); err != nil {
+		t.Fatal(err)
+	}
+	var published []ServiceEntry
+	for k := 0; k < 4; k++ {
+		e := ServiceEntry{Organization: "PSU", Name: fmt.Sprintf("svc%d", k), Description: "d", FactoryHandle: factoryHandle("A")}
+		*[]*string{&e.Organization, &e.Name, &e.Description, &e.FactoryHandle}[k] += "|x"
+		if err := client.PublishService(e); err == nil {
+			published = append(published, e)
+		}
+	}
+	svcs, err := client.Services("PSU")
+	if err != nil || !reflect.DeepEqual(svcs, published) {
+		t.Errorf("Services: read back %+v (%v), published %+v", svcs, err, published)
+	}
+	all, err := client.AllServices()
+	if err != nil || !reflect.DeepEqual(all, published) {
+		t.Errorf("AllServices: read back %+v (%v), published %+v", all, err, published)
+	}
+
+	for _, snap := range []string{
+		`{"version":1,"organizations":[{"Name":"PSU","Contact":"a|b","Description":"d"}]}`,
+		`{"version":1,"organizations":[{"Name":"PSU"}],"services":[{"Organization":"PSU","Name":"HPL","Description":"x|y","FactoryHandle":"` + factoryHandle("A") + `"}]}`,
+	} {
+		if _, err := Restore([]byte(snap)); err == nil {
+			t.Errorf("Restore accepted a snapshot whose rows would read back shifted: %s", snap)
+		}
 	}
 }
