@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pperfgrid/internal/client"
 	"pperfgrid/internal/container"
@@ -460,7 +459,7 @@ func BenchmarkManagerHandles(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					// A fresh Manager per iteration keeps every batch cold.
-					m, err := core.NewManager(nil, refs...)
+					m, err := core.NewManager(refs...)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -491,21 +490,17 @@ func BenchmarkManagerHandles(b *testing.B) {
 // each ID with its own CreateService round trip.
 type perIDRef struct{ core.ExecutionFactoryRef }
 
-// BenchmarkCachePolicies measures Get/Put throughput per replacement
-// policy under capacity pressure.
-func BenchmarkCachePolicies(b *testing.B) {
+// BenchmarkCacheGetPut measures Get/Put throughput under capacity
+// pressure.
+func BenchmarkCacheGetPut(b *testing.B) {
 	results := []perfdata.Result{{Metric: "m", Focus: "/", Type: "t", Time: perfdata.TimeRange{Start: 0, End: 1}, Value: 1}}
-	for _, policy := range []string{"lru", "lfu", "cost"} {
-		b.Run(policy, func(b *testing.B) {
-			cache := core.NewCache(policy, 64)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				key := fmt.Sprintf("k%d", i%128)
-				if _, ok := cache.Get(key); !ok {
-					cache.Put(key, results, time.Millisecond)
-				}
-			}
-		})
+	cache := core.NewCache(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := fmt.Sprintf("k%d", i%128)
+		if _, ok := cache.Get(key); !ok {
+			cache.Put(key, results)
+		}
 	}
 }
 
@@ -514,10 +509,10 @@ var rsBench = []perfdata.Result{{Metric: "func_calls", Focus: "/Process/0", Type
 
 // benchCacheAt builds a cache prefilled to capacity with distinct keys,
 // for the eviction and churn benches.
-func benchCacheAt(policy string, capacity int) *core.Cache {
-	cache := core.NewCache(policy, capacity)
+func benchCacheAt(capacity int) *core.Cache {
+	cache := core.NewCache(capacity)
 	for i := 0; i < capacity; i++ {
-		cache.Put(fmt.Sprintf("fill%d|/Process/%d|vampir|0.0-1.0", i, i%8), rsBench, time.Millisecond)
+		cache.Put(fmt.Sprintf("fill%d|/Process/%d|vampir|0.0-1.0", i, i%8), rsBench)
 	}
 	return cache
 }
@@ -527,11 +522,11 @@ func benchCacheAt(policy string, capacity int) *core.Cache {
 func BenchmarkCacheHit(b *testing.B) {
 	// Unbounded: no hash imbalance can evict a warmed key out from under
 	// the measurement.
-	cache := core.NewCache("cost", 0)
+	cache := core.NewCache(0)
 	keys := make([]string, 64)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("fill%d|/Process/%d|vampir|0.0-1.0", i, i%8)
-		cache.Put(keys[i], rsBench, time.Millisecond)
+		cache.Put(keys[i], rsBench)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -546,15 +541,13 @@ func BenchmarkCacheHit(b *testing.B) {
 // must evict a victim first, popping a per-shard min-heap in O(log n).
 func BenchmarkCacheEvict(b *testing.B) {
 	results := []perfdata.Result{{Metric: "excl_time", Focus: "/Process/0/Code/MPI/MPI_Waitall", Type: "vampir", Time: perfdata.TimeRange{Start: 0, End: 1}, Value: 1}}
-	for _, policy := range []string{"lru", "lfu", "cost"} {
-		b.Run(fmt.Sprintf("%s/n=4096", policy), func(b *testing.B) {
-			cache := benchCacheAt(policy, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cache.Put(fmt.Sprintf("new%d|/Process/%d|vampir|0.0-1.0", i, i%8), results, time.Millisecond)
-			}
-		})
-	}
+	b.Run("n=4096", func(b *testing.B) {
+		cache := benchCacheAt(4096)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cache.Put(fmt.Sprintf("new%d|/Process/%d|vampir|0.0-1.0", i, i%8), results)
+		}
+	})
 }
 
 // BenchmarkCacheConcurrentMixed is the concurrent Table 5 workload as a
@@ -565,11 +558,11 @@ func BenchmarkCacheConcurrentMixed(b *testing.B) {
 	for i := range hot {
 		hot[i] = perfdata.Result{Metric: "func_calls", Focus: fmt.Sprintf("/Process/%d", i), Type: "vampir", Time: perfdata.TimeRange{Start: 0, End: 1}, Value: float64(i)}
 	}
-	cache := benchCacheAt("cost", 4096)
+	cache := benchCacheAt(4096)
 	hotKeys := make([]string, 16)
 	for i := range hotKeys {
 		hotKeys[i] = fmt.Sprintf("hot%d|/Process/%d|vampir|0.0-1.0", i, i%8)
-		cache.Put(hotKeys[i], hot, time.Minute)
+		cache.Put(hotKeys[i], hot)
 	}
 	var tailSeq atomic.Int64
 	b.SetParallelism(16)
@@ -580,7 +573,7 @@ func BenchmarkCacheConcurrentMixed(b *testing.B) {
 			if i%20 == 19 { // 5% tail: miss + insert + evict
 				k := fmt.Sprintf("tail%d|/Process/%d|vampir|0.0-1.0", tailSeq.Add(1), i%8)
 				if _, ok := cache.Get(k); !ok {
-					cache.Put(k, hot[:1], time.Millisecond)
+					cache.Put(k, hot[:1])
 				}
 			} else if _, ok := cache.Get(hotKeys[i%len(hotKeys)]); !ok {
 				b.Fatal("hot key missed")

@@ -14,9 +14,9 @@
 //	pperfgrid-bench -all -quick     # reduced sample sizes for smoke runs
 //	pperfgrid-bench -all -scale 0.02  # heavier Mapping-Layer calibration
 //
-// The scale-out ablation is runnable standalone through the flag pair:
+// Figure 12's replicas axis is set with -replicas:
 //
-//	pperfgrid-bench -figure 12 -policy interleave,least-loaded -replicas 1,2,4,8
+//	pperfgrid-bench -figure 12 -replicas 1,2,4,8
 //
 // The federated scatter-gather evaluation — the Figure 12 successor for
 // the federation layer: live heterogeneous fleets of 2/4/8 sites under
@@ -47,7 +47,6 @@ import (
 	"strings"
 	"time"
 
-	"pperfgrid/internal/core"
 	"pperfgrid/internal/datagen"
 	"pperfgrid/internal/experiment"
 )
@@ -61,8 +60,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced sample sizes")
 		scale     = flag.Float64("scale", 0.01, "Mapping-Layer calibration scale (fraction of the paper's latencies)")
 		seed      = flag.Int64("seed", 1, "dataset generator seed")
-		policy    = flag.String("policy", "", "comma-separated replica policies for Figure 12 and the policy ablation ("+strings.Join(core.AllPolicyNames, ", ")+"); unset means interleave for Figure 12 and every policy for the ablation")
-		replicas  = flag.String("replicas", "1,2,4,8", "comma-separated replica host counts: Figure 12's scale-out axis; the policy ablation uses the largest")
+		replicas  = flag.String("replicas", "1,2,4,8", "comma-separated replica host counts: Figure 12's scale-out axis")
 
 		fedBench   = flag.Bool("federation-bench", false, "run only the federated scatter-gather evaluation (sites x WAN latency x failure rate; completeness, goodput, tail latency)")
 		durBench   = flag.Bool("durability-bench", false, "run only the durable-engine evaluation (disk vs memory query sweep, zone-map + group-commit ablations, recovery curve)")
@@ -82,12 +80,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	policies := splitList(*policy)
-	for _, p := range policies {
-		if _, err := core.PolicyByName(p); err != nil {
-			log.Fatalf("pperfgrid-bench: %v", err)
-		}
-	}
 	hostCounts, err := parseInts(*replicas)
 	if err != nil {
 		log.Fatalf("pperfgrid-bench: -replicas: %v", err)
@@ -138,11 +130,11 @@ func main() {
 				f12.Repeats = 5
 				f12.BatchRuns = 2
 			}
-			return experiment.RunFigure12Sweep(f12, policies)
+			return experiment.RunFigure12(f12)
 		}, &failed)
 	}
 	if *all || *ablations {
-		runAblations(cfg, *quick, policies, maxInt(hostCounts, 2), *cacheBytes)
+		runAblations(cfg, *quick, *cacheBytes)
 	}
 	if failed {
 		log.Fatal("pperfgrid-bench: one or more shape checks FAILED")
@@ -393,18 +385,7 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// maxInt returns the largest element, or fallback for an empty list.
-func maxInt(xs []int, fallback int) int {
-	out := fallback
-	for _, x := range xs {
-		if x > out {
-			out = x
-		}
-	}
-	return out
-}
-
-func runAblations(cfg experiment.Config, quick bool, policies []string, replicas int, cacheBytes int64) {
+func runAblations(cfg experiment.Config, quick bool, cacheBytes int64) {
 	fmt.Println("=== Ablations ===")
 
 	counts := []int{1, 10, 100, 1000}
@@ -420,33 +401,15 @@ func runAblations(cfg experiment.Config, quick bool, policies []string, replicas
 	fmt.Print(experiment.RenderSOAPOverhead(points))
 	fmt.Println()
 
-	execs, repeats := 32, 5
+	queries := 300
 	if quick {
-		execs, repeats = 8, 2
+		queries = 60
 	}
-	policyRows, err := experiment.RunPolicyAblation(cfg, policies, replicas, execs, repeats)
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: policy ablation: %v", err)
-	}
-	fmt.Print(experiment.RenderPolicyAblation(policyRows, replicas))
-	fmt.Println()
-
-	capacity, queries := 8, 300
-	if quick {
-		capacity, queries = 4, 60
-	}
-	cacheRows, err := experiment.RunCachePolicyAblation(cfg, capacity, queries)
-	if err != nil {
-		log.Fatalf("pperfgrid-bench: cache ablation: %v", err)
-	}
-	fmt.Print(experiment.RenderCachePolicyAblation(cacheRows))
-	fmt.Println()
-
-	bytesRows, err := experiment.RunCacheBytesAblation(cfg, cacheBytes, queries)
+	bytesRow, err := experiment.RunCacheBytesAblation(cfg, cacheBytes, queries)
 	if err != nil {
 		log.Fatalf("pperfgrid-bench: cache bytes ablation: %v", err)
 	}
-	fmt.Print(experiment.RenderCacheBytesAblation(bytesRows))
+	fmt.Print(experiment.RenderCacheBytesAblation(bytesRow))
 	fmt.Println()
 
 	nq := 50

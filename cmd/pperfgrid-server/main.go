@@ -41,8 +41,7 @@ func main() {
 		replicas  = flag.Int("replicas", 1, "number of replica hosts")
 		workers   = flag.Int("workers", 0, "simulated CPUs per host (0 = unbounded)")
 		cacheOff  = flag.Bool("cache-off", false, "disable the Performance Results cache")
-		cachePol  = flag.String("cache-policy", "lru", "cache replacement policy: lru | lfu | cost")
-		cacheCap  = flag.Int("cache-capacity", 0, "cache capacity (0 = unbounded)")
+		cacheCap  = flag.Int("cache-capacity", 0, "LRU cache capacity in entries (0 = unbounded)")
 		notify    = flag.Bool("notifications", false, "enable Execution update notifications")
 		seed      = flag.Int64("seed", 1, "dataset generator seed")
 		execs     = flag.Int("executions", 0, "override execution count (0 = dataset default)")
@@ -84,7 +83,6 @@ func main() {
 		QueueDepth:    *queue,
 		QueueWait:     *queueWait,
 		CachingOff:    *cacheOff,
-		CachePolicy:   *cachePol,
 		CacheCapacity: *cacheCap,
 		Notifications: *notify,
 		Addr:          *addr,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -405,5 +406,39 @@ func TestDrainingShedsThenDrainCompletes(t *testing.T) {
 	}
 	if !c.Draining() {
 		t.Error("Draining() = false after Drain")
+	}
+}
+
+// TestDrainClosesSilentConnections: a connection that never sends a
+// request must not hold Drain for http.Server's 5 s new-connection grace
+// — a client transport leaves such a connection behind whenever a
+// speculative dial loses the race to an idle one.
+func TestDrainClosesSilentConnections(t *testing.T) {
+	c := startContainer(t, Options{})
+	in, _ := c.Hosting().DeployPersistent("Gate", newGateService(), gateDef())
+	stub := Dial(in.Handle())
+	if _, err := stub.Call("count", "warm"); err != nil { // one kept-alive connection too
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", c.Host())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := c.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v after %v", err, time.Since(start))
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Errorf("Drain took %v with one silent connection open", elapsed)
+	}
+	// The server closed the silent connection: a read sees EOF, not a
+	// deadline.
+	_ = silent.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := silent.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("silent connection read = %v, want EOF", err)
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -105,8 +106,7 @@ type Container struct {
 	// folded into faults — a shed is backpressure, not a service
 	// failure). svcMsEWMA is an exponential moving average of service
 	// time in milliseconds (stored as math.Float64bits; 0 means "no
-	// samples yet") feeding load-aware replica scheduling and the
-	// Retry-After hint.
+	// samples yet") feeding the Retry-After hint.
 	queued    atomic.Int64
 	executing atomic.Int64
 	sheds     atomic.Int64
@@ -115,6 +115,16 @@ type Container struct {
 	// draining flips when Drain begins: new requests are shed so
 	// persistent connections go idle and Shutdown can complete.
 	draining atomic.Bool
+
+	// fresh holds the connections that have not yet sent a request
+	// (http.StateNew). Shutdown counts such a connection as busy for
+	// 5 s, and a client transport leaves one behind whenever a
+	// speculative dial loses the race to an idle connection, so Drain
+	// closes them once the listener is shut (shutdown set). A sync.Map
+	// keeps a kept-alive connection's per-request state changes to one
+	// lock-free lookup.
+	fresh    sync.Map // net.Conn -> struct{}
+	shutdown atomic.Bool
 
 	// Ring of recent shed-decision latencies (ns, shed decision to
 	// rejection written), sampled lock-free for the soak bench's "sheds
@@ -163,7 +173,9 @@ func (c *Container) Start(addr string) error {
 		// connection (service invocations themselves may be long-running,
 		// so no overall write timeout is imposed).
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState:         c.trackFresh,
 	}
+	c.server.RegisterOnShutdown(c.closeFresh)
 	go func() {
 		if err := c.server.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("container %s: serve: %v", c.Host(), err)
@@ -180,12 +192,6 @@ func (c *Container) Requests() int64 { return c.requests.Load() }
 
 // Faults returns the number of requests that ended in a SOAP Fault.
 func (c *Container) Faults() int64 { return c.faults.Load() }
-
-// InFlight returns the number of requests currently dispatched — executing
-// or queued for a worker slot. With single-worker hosts (the paper's
-// one-CPU testbed) this is effectively the host's queue depth, the signal
-// load-aware replica policies balance on.
-func (c *Container) InFlight() int64 { return c.queued.Load() + c.executing.Load() }
 
 // Queued returns the number of requests currently waiting for a worker
 // slot (admitted but not yet executing).
@@ -255,10 +261,11 @@ func (c *Container) Close() error {
 
 // Drain gracefully shuts the container down: new work is shed with the
 // overload fault (so persistent connections go idle quickly), the
-// listener stops accepting, in-flight requests run to completion or to
-// ctx's deadline, and finally all hosted instances are destroyed. If
-// ctx expires before the last request finishes, remaining connections
-// are force-closed and ctx's error is returned.
+// listener stops accepting, connections that never sent a request are
+// closed, in-flight requests run to completion or to ctx's deadline,
+// and finally all hosted instances are destroyed. If ctx expires before
+// the last request finishes, remaining connections are force-closed and
+// ctx's error is returned.
 func (c *Container) Drain(ctx context.Context) error {
 	c.draining.Store(true)
 	var err error
@@ -270,6 +277,34 @@ func (c *Container) Drain(ctx context.Context) error {
 	}
 	c.hosting.DestroyAll()
 	return err
+}
+
+// trackFresh is the server's ConnState hook: it records connections
+// until their first request, and closes one that arrives after
+// closeFresh ran (accepted just before the listener shut).
+func (c *Container) trackFresh(conn net.Conn, state http.ConnState) {
+	switch state {
+	case http.StateNew:
+		c.fresh.Store(conn, struct{}{})
+		if c.shutdown.Load() {
+			_ = conn.Close()
+		}
+	case http.StateActive, http.StateClosed, http.StateHijacked:
+		if _, ok := c.fresh.Load(conn); ok {
+			c.fresh.Delete(conn)
+		}
+	}
+}
+
+// closeFresh runs when Shutdown has closed the listener: it closes every
+// connection that has not read a request. None is lost — a request that
+// arrived on one now would only be shed, since Drain has begun.
+func (c *Container) closeFresh() {
+	c.shutdown.Store(true)
+	c.fresh.Range(func(conn, _ any) bool {
+		_ = conn.(net.Conn).Close()
+		return true
+	})
 }
 
 func (c *Container) handle(w http.ResponseWriter, r *http.Request) {

@@ -10,8 +10,8 @@
 // alongside them — so a repeat query (the Table 5 workload) is served to
 // the transport as pre-encoded bytes with zero XML marshalling. The cache
 // is sharded (cache_sharded.go): the key space is split across
-// power-of-two shards, each with its own RWMutex, entry map, and eviction
-// min-heap, so concurrent hits proceed in parallel and eviction is
+// power-of-two shards, each with its own RWMutex, entry map, and LRU
+// eviction min-heap, so concurrent hits proceed in parallel and eviction is
 // O(log n). The Execution service also implements the paged getPR
 // protocol: results flow to clients in cursor-addressed chunks (a paged
 // ogsi.Call to its ogsi.Server entry point) instead of one envelope per
@@ -44,11 +44,8 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // CacheConfig describes one Performance Results cache. The zero value is
-// an unbounded LRU cache.
+// an unbounded cache.
 type CacheConfig struct {
-	// Policy selects replacement: "lru", "lfu", or "cost" (recomputation
-	// cost × uses). Empty or unknown names mean LRU.
-	Policy string
 	// MaxEntries bounds the entry count; <= 0 means unbounded.
 	MaxEntries int
 	// MaxBytes bounds the total footprint estimate of cached entries —
@@ -62,10 +59,9 @@ type CacheConfig struct {
 	Shards int
 }
 
-// Cache is the Performance Results cache: query-key to result-list, with
-// a configurable replacement policy. It is safe for concurrent use. The
-// stored cost is the mapping-layer time the entry saves on a hit, which
-// the cost-aware policy uses to pick eviction victims.
+// Cache is the Performance Results cache: query-key to result-list,
+// evicting the least recently used entry when a budget is full. It is
+// safe for concurrent use.
 //
 // Alongside the decoded results, an entry can carry the encoded SOAP
 // response envelope for the query (AttachWire/GetWire): a repeat query
@@ -82,23 +78,20 @@ type CacheConfig struct {
 // out is never mutated. The same applies to wire bytes: callers must not
 // mutate a slice passed to AttachWire or returned by GetWire.
 type Cache struct {
-	policy     string
-	policyCode int
-	seed       maphash.Seed
-	shards     []cacheShard
-	mask       uint64
+	seed   maphash.Seed
+	shards []cacheShard
+	mask   uint64
 
 	perShardEntries int   // 0 = unbounded
 	perShardBytes   int64 // 0 = unbounded
 }
 
-// NewCache builds a Performance Results cache by policy name: "lru",
-// "lfu", or "cost". Unknown names default to LRU. capacity is in entries
+// NewCache builds a Performance Results cache bounded to capacity entries
 // (<= 0 means unbounded — the behaviour of the paper's prototype, which
 // never evicted); use NewCacheFromConfig for byte budgets or shard
 // control.
-func NewCache(policy string, capacity int) *Cache {
-	return NewCacheFromConfig(CacheConfig{Policy: policy, MaxEntries: capacity})
+func NewCache(capacity int) *Cache {
+	return NewCacheFromConfig(CacheConfig{MaxEntries: capacity})
 }
 
 // NewCacheFromConfig builds a Performance Results cache from a full
@@ -135,14 +128,6 @@ func NewCacheFromConfig(cfg CacheConfig) *Cache {
 		seed:   maphash.MakeSeed(),
 		shards: make([]cacheShard, shards),
 		mask:   uint64(shards - 1),
-	}
-	switch cfg.Policy {
-	case "lfu":
-		c.policy, c.policyCode = "lfu", policyLFU
-	case "cost":
-		c.policy, c.policyCode = "cost", policyCost
-	default:
-		c.policy, c.policyCode = "lru", policyLRU
 	}
 	if cfg.MaxEntries > 0 {
 		c.perShardEntries = cfg.MaxEntries / shards

@@ -6,22 +6,21 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pperfgrid/internal/perfdata"
 )
 
 // This file holds the Cache internals: the key space is split across
 // power-of-two shards, each with its own RWMutex, entry map, and eviction
-// min-heap.
+// min-heap ordered by recency (LRU).
 //
 //   - Hits (Get/GetWire) take only the shard's read lock: lookups proceed
-//     in parallel and bump per-entry recency/frequency via atomics, so the
-//     hot Table 5 path never serializes on a writer lock.
-//   - Eviction pops the shard's min-heap: O(log n) per victim. Heap scores
+//     in parallel and bump the entry's recency stamp with one atomic, so
+//     the hot Table 5 path never serializes on a writer lock.
+//   - Eviction pops the shard's min-heap: O(log n) per victim. Heap stamps
 //     are repaired lazily — read-side bumps only ever raise an entry's
-//     score, so eviction re-sinks stale roots until the true minimum
-//     surfaces.
+//     stamp, so eviction re-sinks stale roots until the true least
+//     recently used entry surfaces.
 //   - Capacity is accounted in bytes (EntryFootprint over results + wire)
 //     and/or entries. Budgets divide evenly across shards (floor), so the
 //     configured totals are strict upper bounds.
@@ -44,44 +43,29 @@ const minShardBudgetBytes = 64 << 10
 // imbalance evicting hot keys while other shards sit empty).
 const minShardEntries = 8
 
-const (
-	policyLRU = iota
-	policyLFU
-	policyCost
-)
-
-// shardEntry is one cached query result of the sharded cache. Score
-// inputs touched on the read-locked hit path (uses, lastSeq) are atomics;
-// everything else is guarded by the shard's write lock.
+// shardEntry is one cached query result of the sharded cache. The
+// recency stamp touched on the read-locked hit path (lastSeq) is an
+// atomic; everything else is guarded by the shard's write lock.
 type shardEntry struct {
 	key     string
 	results []perfdata.Result
 	wire    []byte
-	cost    time.Duration
 	size    int64 // EntryFootprint, maintained on every mutation
 
-	uses    atomic.Int64 // read/wire hits, feeds lfu and cost scores
-	lastSeq atomic.Int64 // recency stamp, feeds the lru score
-	insSeq  int64        // insertion order: deterministic tie-break
+	lastSeq atomic.Int64 // recency stamp: unique within the shard
 
-	hscore int64 // score recorded in the heap (may lag the live score)
+	hscore int64 // stamp recorded in the heap (may lag lastSeq)
 	hindex int   // position in the shard heap
 }
 
-// entryHeap is a min-heap over (hscore, insSeq): the entry with the
-// lowest recorded score — oldest first among ties — is the next victim.
+// entryHeap is a min-heap over hscore: the entry with the oldest recorded
+// stamp is the next victim. Stamps are unique, so the order is total.
 type entryHeap struct {
 	items []*shardEntry
 }
 
-func (h *entryHeap) Len() int { return len(h.items) }
-func (h *entryHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.hscore != b.hscore {
-		return a.hscore < b.hscore
-	}
-	return a.insSeq < b.insSeq
-}
+func (h *entryHeap) Len() int           { return len(h.items) }
+func (h *entryHeap) Less(i, j int) bool { return h.items[i].hscore < h.items[j].hscore }
 func (h *entryHeap) Swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
 	h.items[i].hindex = i
@@ -108,7 +92,7 @@ type cacheShard struct {
 	entries map[string]*shardEntry
 	heap    entryHeap
 	bytes   int64 // footprint of this shard's entries, under mu
-	seq     int64 // recency/insertion stamp source (atomic: bumped under RLock)
+	seq     int64 // recency stamp source (atomic: bumped under RLock)
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -122,39 +106,17 @@ func (c *Cache) shard(key string) *cacheShard {
 	return &c.shards[maphash.String(c.seed, key)&c.mask]
 }
 
-// score computes an entry's live eviction score — higher keeps longer.
-// Scores only grow between explicit writes: uses and lastSeq are
-// monotonic, and cost changes (which can lower the cost score) happen
-// under the write lock with an immediate heap fix.
-func (c *Cache) score(e *shardEntry) int64 {
-	switch c.policyCode {
-	case policyLFU:
-		return e.uses.Load()
-	case policyCost:
-		return int64(e.cost) * (1 + e.uses.Load())
-	default:
-		return e.lastSeq.Load()
-	}
+// touch stamps an entry as the shard's most recently used — one atomic
+// on the hit path. Callers hold at least the shard read lock.
+func touch(s *cacheShard, e *shardEntry) {
+	e.lastSeq.Store(atomic.AddInt64(&s.seq, 1))
 }
-
-// touch refreshes the score input the policy actually reads — one atomic
-// on the hit path, not two. Callers hold at least the shard read lock.
-func (c *Cache) touch(s *cacheShard, e *shardEntry) {
-	if c.policyCode == policyLRU {
-		e.lastSeq.Store(atomic.AddInt64(&s.seq, 1))
-		return
-	}
-	e.uses.Add(1)
-}
-
-// Policy names the replacement policy, for service data and reports.
-func (c *Cache) Policy() string { return c.policy }
 
 // Shards reports the effective shard count.
 func (c *Cache) Shards() int { return len(c.shards) }
 
 // lookup is the shared read-locked hit path: find the entry, refresh its
-// score input, and return its results and shard (for stats accounting).
+// recency, and return its results and shard (for stats accounting).
 func (c *Cache) lookup(key string) (*cacheShard, []perfdata.Result, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
@@ -162,7 +124,7 @@ func (c *Cache) lookup(key string) (*cacheShard, []perfdata.Result, bool) {
 	var rs []perfdata.Result
 	if ok {
 		rs = e.results
-		c.touch(s, e)
+		touch(s, e)
 	}
 	s.mu.RUnlock()
 	return s, rs, ok
@@ -198,7 +160,7 @@ func (c *Cache) GetWire(key string) ([]byte, bool) {
 	if ok {
 		wire = e.wire
 		if wire != nil {
-			c.touch(s, e)
+			touch(s, e)
 		}
 	}
 	s.mu.RUnlock()
@@ -210,8 +172,9 @@ func (c *Cache) GetWire(key string) ([]byte, bool) {
 }
 
 // Put caches results under key, replacing (and dropping the wire of) any
-// existing entry and evicting lowest-score entries to stay in budget.
-func (c *Cache) Put(key string, results []perfdata.Result, cost time.Duration) {
+// existing entry and evicting least recently used entries to stay in
+// budget.
+func (c *Cache) Put(key string, results []perfdata.Result) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,15 +182,9 @@ func (c *Cache) Put(key string, results []perfdata.Result, cost time.Duration) {
 		size := EntryFootprint(key, results, nil)
 		e.results = results
 		e.wire = nil // new results invalidate the encoded envelope
-		e.cost = cost
 		s.bytes += size - e.size
 		e.size = size
-		e.lastSeq.Store(atomic.AddInt64(&s.seq, 1))
-		// The cost score can move in either direction here; repair the
-		// heap eagerly while we hold the write lock, preserving the
-		// invariant that live scores never sit below recorded ones.
-		e.hscore = c.score(e)
-		heap.Fix(&s.heap, e.hindex)
+		touch(s, e)
 		if !c.ensureBytesLocked(s, 0, e) {
 			c.removeLocked(s, e)
 			s.evictions++
@@ -248,12 +205,11 @@ func (c *Cache) Put(key string, results []perfdata.Result, cost time.Duration) {
 	if c.perShardBytes > 0 && !c.ensureBytesLocked(s, size, nil) {
 		return
 	}
-	e := &shardEntry{key: key, results: results, cost: cost, size: size}
-	e.insSeq = atomic.AddInt64(&s.seq, 1)
-	e.lastSeq.Store(e.insSeq)
+	e := &shardEntry{key: key, results: results, size: size}
+	touch(s, e)
+	e.hscore = e.lastSeq.Load()
 	s.entries[key] = e
 	s.bytes += size
-	e.hscore = c.score(e)
 	heap.Push(&s.heap, e)
 }
 
@@ -285,8 +241,8 @@ func (c *Cache) AttachWire(key string, wire []byte) {
 }
 
 // ensureBytesLocked makes room for add more bytes in the shard, evicting
-// lowest-score entries — never keep — until the budget holds. It reports
-// whether the budget can accommodate the addition, and refuses up front
+// least recently used entries — never keep — until the budget holds. It
+// reports whether the budget can accommodate the addition, and refuses up front
 // (evicting nothing) when it never could: an addition that exceeds the
 // whole budget even alongside only the pinned entry must not flush the
 // shard on its way to failing.
@@ -314,20 +270,20 @@ func (c *Cache) ensureBytesLocked(s *cacheShard, add int64, keep *shardEntry) bo
 		c.evictMinLocked(s)
 	}
 	if keep != nil {
-		keep.hscore = c.score(keep)
+		keep.hscore = keep.lastSeq.Load()
 		heap.Fix(&s.heap, keep.hindex)
 	}
 	return s.bytes+add <= c.perShardBytes
 }
 
-// evictMinLocked removes the shard's lowest-score entry in O(log n):
-// pop the heap root, lazily repairing roots whose live score has risen
-// past the recorded one (read-side touches never lower a score, so a
-// root whose recorded score is current really is the minimum).
+// evictMinLocked removes the shard's least recently used entry in
+// O(log n): pop the heap root, lazily repairing roots whose live stamp
+// has risen past the recorded one (touches never lower a stamp, so a
+// root whose recorded stamp is current really is the minimum).
 func (c *Cache) evictMinLocked(s *cacheShard) {
 	for s.heap.Len() > 0 {
 		root := s.heap.items[0]
-		if cur := c.score(root); cur > root.hscore {
+		if cur := root.lastSeq.Load(); cur > root.hscore {
 			root.hscore = cur
 			heap.Fix(&s.heap, 0)
 			continue

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"pperfgrid/internal/container"
 	"pperfgrid/internal/datagen"
@@ -28,15 +28,12 @@ func rsN(n int, v float64) []perfdata.Result {
 }
 
 func TestShardedPolicyScenarios(t *testing.T) {
-	oneShard := func(policy string, capacity int) *Cache {
-		return NewCacheFromConfig(CacheConfig{Policy: policy, MaxEntries: capacity, Shards: 1})
-	}
 	t.Run("lru evicts least recent", func(t *testing.T) {
-		c := oneShard("lru", 2)
-		c.Put("a", rs(1), 0)
-		c.Put("b", rs(2), 0)
+		c := NewCacheFromConfig(CacheConfig{MaxEntries: 2, Shards: 1})
+		c.Put("a", rs(1))
+		c.Put("b", rs(2))
 		c.Get("a")
-		c.Put("c", rs(3), 0)
+		c.Put("c", rs(3))
 		if _, ok := c.Get("b"); ok {
 			t.Error("b should have been evicted")
 		}
@@ -44,53 +41,13 @@ func TestShardedPolicyScenarios(t *testing.T) {
 			t.Error("a should have survived")
 		}
 	})
-	t.Run("lfu evicts least frequent", func(t *testing.T) {
-		c := oneShard("lfu", 2)
-		c.Put("hot", rs(1), 0)
-		c.Put("cold", rs(2), 0)
-		for i := 0; i < 5; i++ {
-			c.Get("hot")
-		}
-		c.Put("new", rs(3), 0)
-		if _, ok := c.Get("cold"); ok {
-			t.Error("cold should have been evicted")
-		}
-		if _, ok := c.Get("hot"); !ok {
-			t.Error("hot should have survived")
-		}
-	})
-	t.Run("cost keeps expensive", func(t *testing.T) {
-		c := oneShard("cost", 2)
-		c.Put("cheap", rs(1), time.Millisecond)
-		c.Put("expensive", rs(2), time.Minute)
-		c.Put("new", rs(3), time.Second)
-		if _, ok := c.Get("expensive"); !ok {
-			t.Error("expensive entry evicted despite cost-aware policy")
-		}
-		if _, ok := c.Get("cheap"); ok {
-			t.Error("cheap entry survived over expensive")
-		}
-	})
-	t.Run("cost weighs uses", func(t *testing.T) {
-		c := oneShard("cost", 2)
-		c.Put("cheapHot", rs(1), time.Millisecond)
-		// 2000 uses make the cheap entry worth ~2s of saved recomputation.
-		for i := 0; i < 2000; i++ {
-			c.Get("cheapHot")
-		}
-		c.Put("expensiveCold", rs(2), time.Second)
-		c.Put("new", rs(3), time.Millisecond)
-		if _, ok := c.Get("cheapHot"); !ok {
-			t.Error("heavily used cheap entry evicted")
-		}
-	})
 	t.Run("shards reported", func(t *testing.T) {
-		c := NewCacheFromConfig(CacheConfig{Policy: "lru", Shards: 8})
+		c := NewCacheFromConfig(CacheConfig{Shards: 8})
 		if got := c.Shards(); got != 8 {
 			t.Errorf("shards = %d", got)
 		}
 		// Shard counts round down to a power of two and clamp to capacity.
-		c = NewCacheFromConfig(CacheConfig{Policy: "lru", MaxEntries: 5, Shards: 16})
+		c = NewCacheFromConfig(CacheConfig{MaxEntries: 5, Shards: 16})
 		if got := c.Shards(); got != 4 {
 			t.Errorf("clamped shards = %d", got)
 		}
@@ -98,28 +55,41 @@ func TestShardedPolicyScenarios(t *testing.T) {
 }
 
 // cacheModel is the reference the differential test holds Cache to: one
-// map, an O(n) victim scan (lowest score, oldest insertion first among
-// ties), EntryFootprint byte accounting, and hit/miss/eviction counts.
-// It models an entry-capacity cache with no byte budget.
+// map per shard, an O(n) least-recently-used victim scan, EntryFootprint
+// byte accounting against floor(total/shards) budgets, and hit/miss/
+// eviction counts. Keys route to shards with the cache's own hash; the
+// model checks what each shard keeps, not where keys land.
 type cacheModel struct {
-	policy   string
-	capacity int
-	entries  map[string]*modelEntry
-	clock    int64
-	stats    CacheStats
+	maxEntries int   // per shard; 0 = unbounded
+	maxBytes   int64 // per shard; 0 = unbounded
+	shardOf    func(string) int
+	shards     []map[string]*modelEntry
+	clock      int64
+	stats      CacheStats
 }
 
 type modelEntry struct {
 	results []perfdata.Result
 	wire    []byte
-	cost    time.Duration
-	uses    int64 // hits: the lfu and cost score input
-	touched int64 // recency stamp: the lru score
-	born    int64 // insertion stamp: the tie-break
+	touched int64 // recency stamp
 }
 
-func newCacheModel(policy string, capacity int) *cacheModel {
-	return &cacheModel{policy: policy, capacity: capacity, entries: make(map[string]*modelEntry)}
+func newCacheModel(cfg CacheConfig, c *Cache) *cacheModel {
+	n := c.Shards()
+	m := &cacheModel{
+		shardOf: func(k string) int { return int(maphash.String(c.seed, k) & c.mask) },
+		shards:  make([]map[string]*modelEntry, n),
+	}
+	if cfg.MaxEntries > 0 {
+		m.maxEntries = cfg.MaxEntries / n
+	}
+	if cfg.MaxBytes > 0 {
+		m.maxBytes = cfg.MaxBytes / int64(n)
+	}
+	for i := range m.shards {
+		m.shards[i] = make(map[string]*modelEntry)
+	}
+	return m
 }
 
 func (m *cacheModel) tick() int64 {
@@ -127,167 +97,250 @@ func (m *cacheModel) tick() int64 {
 	return m.clock
 }
 
-func (m *cacheModel) score(e *modelEntry) int64 {
-	switch m.policy {
-	case "lfu":
-		return e.uses
-	case "cost":
-		return int64(e.cost) * (1 + e.uses)
-	default:
-		return e.touched
-	}
-}
-
-func (m *cacheModel) hit(e *modelEntry) {
-	m.stats.Hits++
-	e.uses++
-	e.touched = m.tick()
+func (m *cacheModel) lookup(key string) (map[string]*modelEntry, *modelEntry) {
+	s := m.shards[m.shardOf(key)]
+	return s, s[key]
 }
 
 func (m *cacheModel) Get(key string) ([]perfdata.Result, bool) {
-	e, ok := m.entries[key]
-	if !ok {
+	_, e := m.lookup(key)
+	if e == nil {
 		m.stats.Misses++
 		return nil, false
 	}
-	m.hit(e)
+	m.stats.Hits++
+	e.touched = m.tick()
 	return e.results, true
 }
 
 // GetWire counts a hit only when wire is attached; absence is no miss.
 func (m *cacheModel) GetWire(key string) ([]byte, bool) {
-	e, ok := m.entries[key]
-	if !ok || e.wire == nil {
+	_, e := m.lookup(key)
+	if e == nil || e.wire == nil {
 		return nil, false
 	}
-	m.hit(e)
+	m.stats.Hits++
+	e.touched = m.tick()
 	return e.wire, true
 }
 
-func (m *cacheModel) AttachWire(key string, wire []byte) {
-	if e, ok := m.entries[key]; ok {
-		e.wire = wire
-	}
-}
-
-// Put overwrites in place (dropping the wire, keeping the use count) or
-// inserts after evicting the lowest-score entry from a full cache.
-func (m *cacheModel) Put(key string, results []perfdata.Result, cost time.Duration) {
-	if e, ok := m.entries[key]; ok {
-		e.results, e.wire, e.cost, e.touched = results, nil, cost, m.tick()
-		return
-	}
-	if m.capacity > 0 && len(m.entries) >= m.capacity {
-		var victim string
-		var v *modelEntry
-		for k, e := range m.entries {
-			if v == nil || m.score(e) < m.score(v) || (m.score(e) == m.score(v) && e.born < v.born) {
-				victim, v = k, e
-			}
-		}
-		delete(m.entries, victim)
-		m.stats.Evictions++
-	}
-	now := m.tick()
-	m.entries[key] = &modelEntry{results: results, cost: cost, touched: now, born: now}
-}
-
-func (m *cacheModel) SizeBytes() int64 {
+func shardBytes(s map[string]*modelEntry) int64 {
 	var n int64
-	for k, e := range m.entries {
+	for k, e := range s {
 		n += EntryFootprint(k, e.results, e.wire)
 	}
 	return n
 }
 
-// TestCacheDifferentialVsModel drives a single-shard Cache and cacheModel
-// through the same randomized operation sequence and pins identical
-// hit/miss outcomes, results, entry counts, byte accounting, and stats
-// after every operation, for every policy.
-func TestCacheDifferentialVsModel(t *testing.T) {
-	for _, policy := range []string{"lru", "lfu", "cost"} {
-		for _, capacity := range []int{2, 5, 16} {
-			t.Run(fmt.Sprintf("%s/cap=%d", policy, capacity), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(42 + capacity)))
-				model := newCacheModel(policy, capacity)
-				c := NewCacheFromConfig(CacheConfig{Policy: policy, MaxEntries: capacity, Shards: 1})
-				keys := make([]string, 24)
-				for i := range keys {
-					keys[i] = fmt.Sprintf("metric%d|/Process/%d|UNDEFINED|0.0-1.0", i, i)
-				}
-				for op := 0; op < 4000; op++ {
-					k := keys[rng.Intn(len(keys))]
-					switch rng.Intn(10) {
-					case 0, 1, 2: // Put with a distinct cost per op
-						payload := rsN(1+rng.Intn(4), float64(op))
-						cost := time.Duration(op*7919 + 1)
-						model.Put(k, payload, cost)
-						c.Put(k, payload, cost)
-					case 3: // AttachWire
-						wire := make([]byte, 8+rng.Intn(64))
-						model.AttachWire(k, wire)
-						c.AttachWire(k, wire)
-					case 4: // GetWire
-						_, a := model.GetWire(k)
-						_, b := c.GetWire(k)
-						if a != b {
-							t.Fatalf("op %d: GetWire(%q) diverged: model=%v cache=%v", op, k, a, b)
-						}
-					default: // Get
-						ra, a := model.Get(k)
-						rb, b := c.Get(k)
-						if a != b {
-							t.Fatalf("op %d: Get(%q) diverged: model=%v cache=%v", op, k, a, b)
-						}
-						if a && !reflect.DeepEqual(ra, rb) {
-							t.Fatalf("op %d: Get(%q) results diverged", op, k)
-						}
-					}
-					if len(model.entries) != c.Len() {
-						t.Fatalf("op %d: Len diverged: model=%d cache=%d", op, len(model.entries), c.Len())
-					}
-					if model.SizeBytes() != c.SizeBytes() {
-						t.Fatalf("op %d: SizeBytes diverged: model=%d cache=%d", op, model.SizeBytes(), c.SizeBytes())
-					}
-					if ms, cs := model.stats, c.Stats(); ms != cs {
-						t.Fatalf("op %d: stats diverged: model=%+v cache=%+v", op, ms, cs)
-					}
-				}
-			})
+// evictLRU drops the shard's least recently used entry other than keep;
+// it reports false when there is none.
+func (m *cacheModel) evictLRU(s map[string]*modelEntry, keep string) bool {
+	victim := ""
+	var v *modelEntry
+	for k, e := range s {
+		if k != keep && (v == nil || e.touched < v.touched) {
+			victim, v = k, e
 		}
+	}
+	if v == nil {
+		return false
+	}
+	delete(s, victim)
+	m.stats.Evictions++
+	return true
+}
+
+// fits makes room for add more bytes in the shard by evicting LRU entries
+// other than keep. An addition that cannot fit beside keep alone evicts
+// nothing.
+func (m *cacheModel) fits(s map[string]*modelEntry, add int64, keep string) bool {
+	if m.maxBytes == 0 || shardBytes(s)+add <= m.maxBytes {
+		return true
+	}
+	pinned := int64(0)
+	if e := s[keep]; e != nil {
+		pinned = EntryFootprint(keep, e.results, e.wire)
+	}
+	if pinned+add > m.maxBytes {
+		return false
+	}
+	for shardBytes(s)+add > m.maxBytes && m.evictLRU(s, keep) {
+	}
+	return true
+}
+
+// Put overwrites in place (dropping the wire) or inserts after making
+// room; an entry that alone exceeds the shard budget is not stored, and
+// an overwrite that grows past it drops the entry as an eviction.
+func (m *cacheModel) Put(key string, results []perfdata.Result) {
+	s, e := m.lookup(key)
+	if e != nil {
+		e.results, e.wire, e.touched = results, nil, m.tick()
+		if !m.fits(s, 0, key) {
+			delete(s, key)
+			m.stats.Evictions++
+		}
+		return
+	}
+	size := EntryFootprint(key, results, nil)
+	if m.maxBytes > 0 && size > m.maxBytes {
+		return
+	}
+	for m.maxEntries > 0 && len(s) >= m.maxEntries {
+		m.evictLRU(s, "")
+	}
+	m.fits(s, size, "")
+	s[key] = &modelEntry{results: results, touched: m.tick()}
+}
+
+// AttachWire replaces the entry's envelope when it fits beside the
+// entry's results, evicting other entries for room; it never touches
+// recency.
+func (m *cacheModel) AttachWire(key string, wire []byte) {
+	s, e := m.lookup(key)
+	if e == nil {
+		return
+	}
+	e.wire = nil
+	if m.fits(s, int64(len(wire)), key) {
+		e.wire = wire
 	}
 }
 
-// TestCacheByteBudget pins the byte-budget invariant: across every policy
-// and shard layout, the total footprint of cached entries — decoded
+func (m *cacheModel) Invalidate() int {
+	n := 0
+	for i, s := range m.shards {
+		n += len(s)
+		m.shards[i] = make(map[string]*modelEntry)
+	}
+	return n
+}
+
+func (m *cacheModel) Len() int {
+	n := 0
+	for _, s := range m.shards {
+		n += len(s)
+	}
+	return n
+}
+
+func (m *cacheModel) SizeBytes() int64 {
+	var n int64
+	for _, s := range m.shards {
+		n += shardBytes(s)
+	}
+	return n
+}
+
+// TestCacheDifferentialVsModel drives a Cache and cacheModel through the
+// same randomized operation sequence and pins identical hit/miss
+// outcomes, results, entry counts, byte accounting, and stats after every
+// operation — over entry budgets, byte budgets, both at once, and several
+// shard counts.
+func TestCacheDifferentialVsModel(t *testing.T) {
+	payloadBytes := EntryFootprint("metric00|/Process/00|UNDEFINED|0.0-1.0", rsN(2, 0), nil)
+	cases := []struct {
+		name string
+		cfg  CacheConfig
+	}{
+		{"lru/cap=2", CacheConfig{MaxEntries: 2, Shards: 1}},
+		{"lru/cap=5", CacheConfig{MaxEntries: 5, Shards: 1}},
+		{"lru/cap=16", CacheConfig{MaxEntries: 16, Shards: 1}},
+		{"lru/cap=16/shards=4", CacheConfig{MaxEntries: 16, Shards: 4}},
+		{"lru/bytes/shards=1", CacheConfig{MaxBytes: 6 * payloadBytes, Shards: 1}},
+		{"lru/bytes/shards=2", CacheConfig{MaxBytes: 8 * payloadBytes, Shards: 2}},
+		{"lru/bytes/shards=4", CacheConfig{MaxBytes: 12 * payloadBytes, Shards: 4}},
+		{"lru/cap=8/bytes/shards=2", CacheConfig{MaxEntries: 8, MaxBytes: 6 * payloadBytes, Shards: 2}},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(42 + ci)))
+			c := NewCacheFromConfig(tc.cfg)
+			model := newCacheModel(tc.cfg, c)
+			keys := make([]string, 24)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("metric%02d|/Process/%02d|UNDEFINED|0.0-1.0", i, i)
+			}
+			for op := 0; op < 4000; op++ {
+				k := keys[rng.Intn(len(keys))]
+				switch r := rng.Intn(100); {
+				case r < 30: // Put; an occasional oversized set tests refusal
+					n := 1 + rng.Intn(4)
+					if r == 0 {
+						n = 200
+					}
+					payload := rsN(n, float64(op))
+					model.Put(k, payload)
+					c.Put(k, payload)
+				case r < 40: // AttachWire; some envelopes cannot fit
+					wire := make([]byte, 8+rng.Intn(int(payloadBytes)*2))
+					model.AttachWire(k, wire)
+					c.AttachWire(k, wire)
+				case r < 50: // GetWire
+					_, a := model.GetWire(k)
+					_, b := c.GetWire(k)
+					if a != b {
+						t.Fatalf("op %d: GetWire(%q) diverged: model=%v cache=%v", op, k, a, b)
+					}
+				case r == 99: // Invalidate
+					if a, b := model.Invalidate(), c.Invalidate(); a != b {
+						t.Fatalf("op %d: Invalidate purged model=%d cache=%d", op, a, b)
+					}
+				default: // Get
+					ra, a := model.Get(k)
+					rb, b := c.Get(k)
+					if a != b {
+						t.Fatalf("op %d: Get(%q) diverged: model=%v cache=%v", op, k, a, b)
+					}
+					if a && !reflect.DeepEqual(ra, rb) {
+						t.Fatalf("op %d: Get(%q) results diverged", op, k)
+					}
+				}
+				if model.Len() != c.Len() {
+					t.Fatalf("op %d: Len diverged: model=%d cache=%d", op, model.Len(), c.Len())
+				}
+				if model.SizeBytes() != c.SizeBytes() {
+					t.Fatalf("op %d: SizeBytes diverged: model=%d cache=%d", op, model.SizeBytes(), c.SizeBytes())
+				}
+				if ms, cs := model.stats, c.Stats(); ms != cs {
+					t.Fatalf("op %d: stats diverged: model=%+v cache=%+v", op, ms, cs)
+				}
+			}
+			if model.stats.Evictions == 0 {
+				t.Error("workload never evicted; budget untested")
+			}
+		})
+	}
+}
+
+// TestCacheByteBudget pins the byte-budget invariant: across shard
+// layouts, the total footprint of cached entries — decoded
 // results plus attached wire envelopes — never exceeds the configured
 // budget, under randomized Put/Get/AttachWire traffic.
 func TestCacheByteBudget(t *testing.T) {
 	const budget = 64 << 10
-	for _, policy := range []string{"lru", "lfu", "cost"} {
-		for _, shards := range []int{1, 4, 16} {
-			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
-				c := NewCacheFromConfig(CacheConfig{Policy: policy, MaxBytes: budget, Shards: shards})
-				rng := rand.New(rand.NewSource(7))
-				for op := 0; op < 3000; op++ {
-					k := fmt.Sprintf("q%d|/Process/%d|vampir|0.0-1.0", rng.Intn(200), op%8)
-					switch rng.Intn(4) {
-					case 0:
-						c.AttachWire(k, make([]byte, rng.Intn(2048)))
-					case 1:
-						c.Get(k)
-					default:
-						c.Put(k, rsN(1+rng.Intn(20), float64(op)), time.Duration(1+rng.Intn(1000)))
-					}
-					if got := c.SizeBytes(); got > budget {
-						t.Fatalf("op %d: cached bytes %d exceed budget %d", op, got, budget)
-					}
+	for _, shards := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("lru/shards=%d", shards), func(t *testing.T) {
+			c := NewCacheFromConfig(CacheConfig{MaxBytes: budget, Shards: shards})
+			rng := rand.New(rand.NewSource(7))
+			for op := 0; op < 3000; op++ {
+				k := fmt.Sprintf("q%d|/Process/%d|vampir|0.0-1.0", rng.Intn(200), op%8)
+				switch rng.Intn(4) {
+				case 0:
+					c.AttachWire(k, make([]byte, rng.Intn(2048)))
+				case 1:
+					c.Get(k)
+				default:
+					c.Put(k, rsN(1+rng.Intn(20), float64(op)))
 				}
-				if c.Stats().Evictions == 0 {
-					t.Error("workload never evicted; budget untested")
+				if got := c.SizeBytes(); got > budget {
+					t.Fatalf("op %d: cached bytes %d exceed budget %d", op, got, budget)
 				}
-			})
-		}
+			}
+			if c.Stats().Evictions == 0 {
+				t.Error("workload never evicted; budget untested")
+			}
+		})
 	}
 }
 
@@ -297,13 +350,13 @@ func TestCacheByteBudget(t *testing.T) {
 func TestCacheByteBudgetOversized(t *testing.T) {
 	small := rsN(2, 1)
 	budget := EntryFootprint("k", small, nil) + 128
-	c := NewCacheFromConfig(CacheConfig{Policy: "lru", MaxBytes: budget, Shards: 1})
+	c := NewCacheFromConfig(CacheConfig{MaxBytes: budget, Shards: 1})
 
-	c.Put("huge", rsN(1000, 1), time.Second)
+	c.Put("huge", rsN(1000, 1))
 	if _, ok := c.Get("huge"); ok {
 		t.Error("oversized entry was cached")
 	}
-	c.Put("k", small, time.Second)
+	c.Put("k", small)
 	if _, ok := c.Get("k"); !ok {
 		t.Fatal("fitting entry not cached")
 	}
@@ -330,19 +383,19 @@ func TestCacheByteBudgetOversizedDoesNotFlush(t *testing.T) {
 	payload := rsN(2, 1)
 	budget := 4*EntryFootprint("k0", payload, nil) + 64
 	for _, cfg := range []CacheConfig{
-		{Policy: "lru", MaxBytes: budget, Shards: 1},
+		{MaxBytes: budget, Shards: 1},
 		// Both caps at once: the entry-count eviction must not fire for
 		// a Put the byte budget can never store.
-		{Policy: "lru", MaxBytes: budget, MaxEntries: 4, Shards: 1},
+		{MaxBytes: budget, MaxEntries: 4, Shards: 1},
 	} {
 		c := NewCacheFromConfig(cfg)
 		for i := 0; i < 4; i++ {
-			c.Put(fmt.Sprintf("k%d", i), payload, time.Second)
+			c.Put(fmt.Sprintf("k%d", i), payload)
 		}
 		if c.Len() != 4 {
 			t.Fatalf("prefill Len = %d", c.Len())
 		}
-		c.Put("huge", rsN(1000, 1), time.Second) // exceeds the whole budget
+		c.Put("huge", rsN(1000, 1)) // exceeds the whole budget
 		if c.Len() != 4 {
 			t.Errorf("entries=%d: oversized Put flushed the shard: Len = %d", cfg.MaxEntries, c.Len())
 		}
@@ -362,10 +415,10 @@ func TestCacheByteBudgetEvictsForWire(t *testing.T) {
 	payload := rsN(4, 1)
 	one := EntryFootprint("k0", payload, nil)
 	budget := 3 * one
-	c := NewCacheFromConfig(CacheConfig{Policy: "lru", MaxBytes: budget, Shards: 1})
-	c.Put("k0", payload, time.Second)
-	c.Put("k1", payload, time.Second)
-	c.Put("k2", payload, time.Second)
+	c := NewCacheFromConfig(CacheConfig{MaxBytes: budget, Shards: 1})
+	c.Put("k0", payload)
+	c.Put("k1", payload)
+	c.Put("k2", payload)
 	// k0 is the LRU victim candidate, but it is the attach target: room
 	// must come from k1 instead.
 	c.AttachWire("k0", make([]byte, int(one)))
@@ -393,45 +446,41 @@ func TestCacheStressConcurrent(t *testing.T) {
 		{MaxBytes: budget},
 		{MaxEntries: capacity, MaxBytes: budget},
 	}
-	for _, policy := range []string{"lru", "lfu", "cost"} {
-		for _, base := range configs {
-			cfg := base
-			cfg.Policy = policy
-			name := fmt.Sprintf("%s/entries=%d/bytes=%d/single=false", policy, cfg.MaxEntries, cfg.MaxBytes)
-			t.Run(name, func(t *testing.T) {
-				c := NewCacheFromConfig(cfg)
-				var wg sync.WaitGroup
-				for w := 0; w < 8; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(int64(w)))
-						for i := 0; i < 400; i++ {
-							k := fmt.Sprintf("k%d", rng.Intn(128))
-							switch rng.Intn(6) {
-							case 0:
-								c.Put(k, rsN(1+rng.Intn(8), float64(i)), time.Duration(1+rng.Intn(500)))
-							case 1:
-								c.AttachWire(k, make([]byte, rng.Intn(256)))
-							case 2:
-								c.GetWire(k)
-							default:
-								if _, ok := c.Get(k); !ok {
-									c.Put(k, rsN(1, float64(i)), time.Duration(i+1))
-								}
+	for _, cfg := range configs {
+		name := fmt.Sprintf("lru/entries=%d/bytes=%d/single=false", cfg.MaxEntries, cfg.MaxBytes)
+		t.Run(name, func(t *testing.T) {
+			c := NewCacheFromConfig(cfg)
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for i := 0; i < 400; i++ {
+						k := fmt.Sprintf("k%d", rng.Intn(128))
+						switch rng.Intn(6) {
+						case 0:
+							c.Put(k, rsN(1+rng.Intn(8), float64(i)))
+						case 1:
+							c.AttachWire(k, make([]byte, rng.Intn(256)))
+						case 2:
+							c.GetWire(k)
+						default:
+							if _, ok := c.Get(k); !ok {
+								c.Put(k, rsN(1, float64(i)))
 							}
 						}
-					}(w)
-				}
-				wg.Wait()
-				if cfg.MaxEntries > 0 && c.Len() > cfg.MaxEntries {
-					t.Errorf("entries %d exceed capacity %d", c.Len(), cfg.MaxEntries)
-				}
-				if cfg.MaxBytes > 0 && c.SizeBytes() > cfg.MaxBytes {
-					t.Errorf("bytes %d exceed budget %d", c.SizeBytes(), cfg.MaxBytes)
-				}
-			})
-		}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if cfg.MaxEntries > 0 && c.Len() > cfg.MaxEntries {
+				t.Errorf("entries %d exceed capacity %d", c.Len(), cfg.MaxEntries)
+			}
+			if cfg.MaxBytes > 0 && c.SizeBytes() > cfg.MaxBytes {
+				t.Errorf("bytes %d exceed budget %d", c.SizeBytes(), cfg.MaxBytes)
+			}
+		})
 	}
 }
 
@@ -442,19 +491,19 @@ func TestCacheResultAliasing(t *testing.T) {
 	// The subtest keeps the name it had beside the retired single-lock
 	// cache, as TestCacheStressConcurrent's names do.
 	t.Run("single=false", func(t *testing.T) {
-		c := NewCache("lru", 1)
+		c := NewCache(1)
 		original := rsN(4, 1)
 		snapshot := make([]perfdata.Result, len(original))
 		copy(snapshot, original)
 
-		c.Put("k", original, time.Second)
+		c.Put("k", original)
 		held, ok := c.Get("k")
 		if !ok {
 			t.Fatal("miss after Put")
 		}
-		c.Put("other", rsN(2, 2), time.Second) // evicts k (capacity 1)
-		c.Put("k", rsN(4, 99), time.Second)    // re-inserts k with new results
-		c.Put("k", rsN(1, -1), time.Second)    // overwrites in place
+		c.Put("other", rsN(2, 2)) // evicts k (capacity 1)
+		c.Put("k", rsN(4, 99))    // re-inserts k with new results
+		c.Put("k", rsN(1, -1))    // overwrites in place
 		if !reflect.DeepEqual(held, snapshot) {
 			t.Errorf("held slice mutated by eviction/Put: %+v", held)
 		}
@@ -534,7 +583,7 @@ func TestExecutionCacheAccounting(t *testing.T) {
 func TestShardedServiceData(t *testing.T) {
 	d := datagen.HPL(datagen.HPLConfig{Executions: 1, Seed: 5})
 	ew, _ := mapping.NewMemory(d).ExecutionWrapper("100")
-	svc := NewExecutionService("100", ew, NewCacheFromConfig(CacheConfig{Policy: "cost", Shards: 4}), nil)
+	svc := NewExecutionService("100", ew, NewCacheFromConfig(CacheConfig{Shards: 4}), nil)
 	tr, _ := svc.TimeStartEnd()
 	q := perfdata.Query{Metric: "gflops", Time: tr, Type: "hpl"}
 	if _, err := svc.PerformanceResults(q); err != nil {

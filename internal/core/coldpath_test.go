@@ -296,7 +296,7 @@ func TestColdCachedRawMatchesOracleBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewExecutionService(shape.id, ew, NewCache("lru", 16), nil)
+	svc := NewExecutionService(shape.id, ew, NewCache(16), nil)
 	raw, took, err := svc.InvokeRawContext(context.Background(), OpGetPR, shape.q.WireParams())
 	if err != nil || !took {
 		t.Fatalf("cached InvokeRaw: took=%v err=%v", took, err)

@@ -71,7 +71,7 @@ func TestApplicationPortType(t *testing.T) {
 	}
 
 	f := &fakeFactory{host: "a:1"}
-	mgr, err := NewManager(nil, f)
+	mgr, err := NewManager(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestExecutionPortType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewExecutionService("1", ew, NewCache("lru", 0), nil)
+	svc := NewExecutionService("1", ew, NewCache(0), nil)
 
 	// getInfo: name|value pairs including the ID.
 	out, err := svc.Invoke(OpGetInfo, nil)
@@ -263,7 +263,7 @@ func TestExecutionServiceCaching(t *testing.T) {
 	d := datagen.HPL(datagen.HPLConfig{Executions: 1, Seed: 23})
 	w := mapping.NewMemory(d)
 	ew, _ := w.ExecutionWrapper("100")
-	cache := NewCache("lru", 0)
+	cache := NewCache(0)
 	svc := NewExecutionService("100", ew, cache, nil)
 	tr, _ := svc.TimeStartEnd()
 	q := perfdata.Query{Metric: "gflops", Time: tr, Type: "hpl"}
@@ -311,7 +311,7 @@ func TestExecutionServiceDataElements(t *testing.T) {
 	d := datagen.HPL(datagen.HPLConfig{Executions: 1, Seed: 25})
 	w := mapping.NewMemory(d)
 	ew, _ := w.ExecutionWrapper("100")
-	svc := NewExecutionService("100", ew, NewCache("lru", 0), nil)
+	svc := NewExecutionService("100", ew, NewCache(0), nil)
 	sd := svc.ServiceData()
 	if sd["executionID"][0] != "100" || sd["caching"][0] != "true" {
 		t.Errorf("service data: %v", sd)
@@ -319,16 +319,13 @@ func TestExecutionServiceDataElements(t *testing.T) {
 	if !reflect.DeepEqual(sd["metrics"], []string{"gflops", "residual", "runtimesec"}) {
 		t.Errorf("metrics SDE = %v", sd["metrics"])
 	}
-	if sd["cachePolicy"][0] != "lru" {
-		t.Errorf("cachePolicy SDE = %v", sd["cachePolicy"])
-	}
 }
 
 func TestNotifyUpdateInvalidates(t *testing.T) {
 	d := datagen.HPL(datagen.HPLConfig{Executions: 1, Seed: 26})
 	mem := mapping.NewMemory(d)
 	ew, _ := mem.ExecutionWrapper("100")
-	cache := NewCache("lru", 0)
+	cache := NewCache(0)
 	svc := NewExecutionService("100", ew, cache, ogsi.NewNotificationHub(nil))
 
 	tr, _ := svc.TimeStartEnd()
@@ -348,7 +345,7 @@ func TestNotifyUpdateInvalidates(t *testing.T) {
 
 func TestManagerCachesInstances(t *testing.T) {
 	f := &fakeFactory{host: "a:1"}
-	m, err := NewManager(nil, f)
+	m, err := NewManager(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +375,7 @@ func TestManagerCachesInstances(t *testing.T) {
 func TestManagerInterleavesAcrossReplicas(t *testing.T) {
 	a := &fakeFactory{host: "a:1"}
 	b := &fakeFactory{host: "b:1"}
-	m, _ := NewManager(InterleavePolicy{}, a, b)
+	m, _ := NewManager(a, b)
 	ids := make([]string, 32)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("%d", i+1)
@@ -397,31 +394,47 @@ func TestManagerInterleavesAcrossReplicas(t *testing.T) {
 	if counts["a:1"] != 16 || counts["b:1"] != 16 {
 		t.Errorf("PerHostCounts = %v", counts)
 	}
-}
 
-func TestManagerPolicies(t *testing.T) {
-	ids := []string{"1", "2", "3", "4", "5", "6"}
-	if got := (InterleavePolicy{}).Assign(ids, 2); !reflect.DeepEqual(got, []int{0, 1, 0, 1, 0, 1}) {
-		t.Errorf("interleave = %v", got)
-	}
-	if got := (BlockPolicy{}).Assign(ids, 2); !reflect.DeepEqual(got, []int{0, 0, 0, 1, 1, 1}) {
-		t.Errorf("block = %v", got)
-	}
-	h := (HashPolicy{}).Assign(ids, 2)
-	for _, r := range h {
-		if r < 0 || r > 1 {
-			t.Errorf("hash out of range: %v", h)
+	// Every cold batch restarts at replica 0: the i-th new ID of a batch
+	// goes to replica i mod N, whatever earlier batches placed, and cached
+	// IDs take no slot. Two odd batches on three replicas pin this: a
+	// cursor carried across batches would start the second batch at b,
+	// and counting the cached "5" would put "9" on c.
+	hosts := []*fakeFactory{{host: "a:1"}, {host: "b:1"}, {host: "c:1"}}
+	m3, _ := NewManager(hosts[0], hosts[1], hosts[2])
+	for _, batch := range [][]string{
+		{"1", "2", "3", "4", "5", "6", "7"},
+		{"8", "5", "9", "10", "11", "12"},
+	} {
+		if _, err := m3.ExecutionHandles(batch); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Hash placement is stable.
-	if !reflect.DeepEqual(h, (HashPolicy{}).Assign(ids, 2)) {
-		t.Error("hash policy unstable")
+	want := map[string]string{
+		"1": "a:1", "2": "b:1", "3": "c:1", "4": "a:1", "5": "b:1", "6": "c:1", "7": "a:1",
+		"8": "a:1", "9": "b:1", "10": "c:1", "11": "a:1", "12": "b:1",
+	}
+	for id, host := range want {
+		hs, err := m3.ExecutionHandles([]string{id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := gsh.Parse(hs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Host != host {
+			t.Errorf("execution %s placed on %s, want %s", id, h.Host, host)
+		}
+	}
+	if got := m3.PerHostCounts(); got["a:1"] != 5 || got["b:1"] != 4 || got["c:1"] != 3 {
+		t.Errorf("3-replica PerHostCounts = %v, want a=5 b=4 c=3", got)
 	}
 }
 
 func TestManagerFactoryFailure(t *testing.T) {
 	f := &fakeFactory{host: "a:1", fail: true}
-	m, _ := NewManager(nil, f)
+	m, _ := NewManager(f)
 	if _, err := m.ExecutionHandles([]string{"1"}); err == nil {
 		t.Error("factory failure not propagated")
 	}
@@ -429,7 +442,7 @@ func TestManagerFactoryFailure(t *testing.T) {
 
 func TestManagerForget(t *testing.T) {
 	f := &fakeFactory{host: "a:1"}
-	m, _ := NewManager(nil, f)
+	m, _ := NewManager(f)
 	_, _ = m.ExecutionHandles([]string{"1"})
 	m.Forget("1")
 	_, _ = m.ExecutionHandles([]string{"1"})
@@ -439,14 +452,14 @@ func TestManagerForget(t *testing.T) {
 }
 
 func TestManagerRequiresFactory(t *testing.T) {
-	if _, err := NewManager(nil); err == nil {
+	if _, err := NewManager(); err == nil {
 		t.Error("no factories: want error")
 	}
 }
 
 func TestManagerWireProtocol(t *testing.T) {
 	f := &fakeFactory{host: "a:1"}
-	m, _ := NewManager(nil, f)
+	m, _ := NewManager(f)
 	out, err := m.Invoke(OpGetExecutions, []string{"7", "8"})
 	if err != nil || len(out) != 2 {
 		t.Fatalf("getExecutions: %v, %v", out, err)
@@ -455,7 +468,7 @@ func TestManagerWireProtocol(t *testing.T) {
 		t.Errorf("unknown op: %v", err)
 	}
 	sd := m.ServiceData()
-	if sd["policy"][0] != "interleave" || sd["cachedCount"][0] != "2" {
+	if sd["cachedCount"][0] != "2" || sd["replicaCount"][0] != "1" {
 		t.Errorf("service data: %v", sd)
 	}
 }
@@ -463,7 +476,7 @@ func TestManagerWireProtocol(t *testing.T) {
 func TestManagerConcurrent(t *testing.T) {
 	a := &fakeFactory{host: "a:1"}
 	b := &fakeFactory{host: "b:1"}
-	m, _ := NewManager(nil, a, b)
+	m, _ := NewManager(a, b)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -803,12 +803,11 @@ func (e *ExecutionService) resultsByKey(ctx context.Context, key string, q perfd
 	e.flights[key] = f
 	e.flightMu.Unlock()
 
-	start := time.Now()
 	rs, err := e.fetchResults(ctx, q)
 	if err == nil {
 		// Fill the cache before retiring the flight, so a request arriving
 		// after the flight is gone finds the entry.
-		e.cache.Put(key, rs, time.Since(start))
+		e.cache.Put(key, rs)
 	}
 	f.rs, f.err = rs, err
 	e.flightMu.Lock()
@@ -966,7 +965,6 @@ func (e *ExecutionService) ServiceData() map[string][]string {
 	out["cursorEvictions"] = []string{strconv.FormatInt(cEvictions, 10)}
 	if e.cache != nil {
 		s := e.cache.Stats()
-		out["cachePolicy"] = []string{e.cache.Policy()}
 		out["cacheHits"] = []string{strconv.FormatInt(s.Hits, 10)}
 		out["cacheMisses"] = []string{strconv.FormatInt(s.Misses, 10)}
 		out["cacheEvictions"] = []string{strconv.FormatInt(s.Evictions, 10)}

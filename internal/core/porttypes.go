@@ -85,7 +85,7 @@ func ExecutionPortType() wsdl.PortType {
 func ManagerPortType() wsdl.PortType {
 	return wsdl.PortType{Name: ManagerType, Operations: []wsdl.Operation{
 		wsdl.Op(OpGetExecutions,
-			"Returns an Execution service instance GSH for each unique execution ID passed as a parameter, creating instances through the Execution factories (distributed across replica hosts by the configured policy) on first reference and returning cached GSHs thereafter.",
+			"Returns an Execution service instance GSH for each unique execution ID passed as a parameter, creating instances through the Execution factories (interleaved across replica hosts) on first reference and returning cached GSHs thereafter.",
 			wsdl.PRep("executionID")),
 	}}
 }

@@ -2,8 +2,7 @@ package core
 
 // Tests for the scale-out path: batched parallel instance creation in the
 // Manager (lock never held over the wire, in-flight markers, per-replica
-// plural creation), the replica policies including the load-aware ones,
-// and getPR request coalescing in the Execution service.
+// plural creation), interleaved placement past two replicas, and getPR request coalescing in the Execution service.
 
 import (
 	"errors"
@@ -85,7 +84,7 @@ func (f *slowBatchFactory) counts() (made, batch, unit int) {
 // block lookups of already-cached handles.
 func TestManagerCachedReadsDontStallBehindCreation(t *testing.T) {
 	f := newSlowBatchFactory("a:1")
-	m, err := NewManager(nil, f)
+	m, err := NewManager(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestManagerCachedReadsDontStallBehindCreation(t *testing.T) {
 // same missing ID cost one factory call.
 func TestManagerInFlightDeduplicates(t *testing.T) {
 	f := newSlowBatchFactory("a:1")
-	m, _ := NewManager(nil, f)
+	m, _ := NewManager(f)
 
 	results := make(chan string, 2)
 	for i := 0; i < 2; i++ {
@@ -168,7 +167,7 @@ func TestManagerInFlightDeduplicates(t *testing.T) {
 func TestManagerBatchGroupsPerReplica(t *testing.T) {
 	a := newSlowBatchFactory("a:1")
 	b := newSlowBatchFactory("b:1")
-	m, _ := NewManager(InterleavePolicy{}, a, b)
+	m, _ := NewManager(a, b)
 
 	ids := []string{"1", "2", "3", "4", "5", "6"}
 	done := make(chan error, 1)
@@ -203,61 +202,56 @@ func TestManagerBatchGroupsPerReplica(t *testing.T) {
 type perIDRef struct{ ExecutionFactoryRef }
 
 // TestManagerBatchedMatchesPerIDOracle differentially tests the batched
-// path against the per-ID oracle: same policy, same IDs, same handles and
-// same placement. slowBatchFactory reports no load, so hiding LoadReporter
-// behind perIDRef leaves the load-aware policy's inputs unchanged.
+// path against the per-ID oracle: same IDs, same handles and same
+// placement.
 func TestManagerBatchedMatchesPerIDOracle(t *testing.T) {
 	ids := make([]string, 25)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("e%02d", i)
 	}
-	for _, policy := range []ReplicaPolicy{InterleavePolicy{}, BlockPolicy{}, HashPolicy{}, LeastLoadedPolicy{}} {
-		run := func(batched bool) ([]string, map[string]int) {
-			t.Helper()
-			a := newSlowBatchFactory("a:1")
-			b := newSlowBatchFactory("b:1")
-			c := newSlowBatchFactory("c:1")
-			close(a.release)
-			close(b.release)
-			close(c.release)
-			go func() { // drain the started channel; creations are instant
-				for range a.started {
-				}
-			}()
-			go func() {
-				for range b.started {
-				}
-			}()
-			go func() {
-				for range c.started {
-				}
-			}()
-			refs := []ExecutionFactoryRef{a, b, c}
-			if !batched {
-				for i := range refs {
-					refs[i] = perIDRef{refs[i]}
-				}
+	run := func(batched bool) ([]string, map[string]int) {
+		t.Helper()
+		a := newSlowBatchFactory("a:1")
+		b := newSlowBatchFactory("b:1")
+		c := newSlowBatchFactory("c:1")
+		close(a.release)
+		close(b.release)
+		close(c.release)
+		go func() { // drain the started channel; creations are instant
+			for range a.started {
 			}
-			m, err := NewManager(policy, refs...)
-			if err != nil {
-				t.Fatal(err)
+		}()
+		go func() {
+			for range b.started {
 			}
-			hs, err := m.ExecutionHandles(ids)
-			if err != nil {
-				t.Fatal(err)
+		}()
+		go func() {
+			for range c.started {
 			}
-			return hs, m.PerHostCounts()
+		}()
+		refs := []ExecutionFactoryRef{a, b, c}
+		if !batched {
+			for i := range refs {
+				refs[i] = perIDRef{refs[i]}
+			}
 		}
-		batchedHs, batchedCounts := run(true)
-		oracleHs, oracleCounts := run(false)
-		if !reflect.DeepEqual(batchedHs, oracleHs) {
-			t.Errorf("%s: batched handles diverge from per-ID oracle:\n%v\n%v",
-				policy.Name(), batchedHs, oracleHs)
+		m, err := NewManager(refs...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(batchedCounts, oracleCounts) {
-			t.Errorf("%s: batched placement %v diverges from oracle %v",
-				policy.Name(), batchedCounts, oracleCounts)
+		hs, err := m.ExecutionHandles(ids)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return hs, m.PerHostCounts()
+	}
+	batchedHs, batchedCounts := run(true)
+	oracleHs, oracleCounts := run(false)
+	if !reflect.DeepEqual(batchedHs, oracleHs) {
+		t.Errorf("batched handles diverge from per-ID oracle:\n%v\n%v", batchedHs, oracleHs)
+	}
+	if !reflect.DeepEqual(batchedCounts, oracleCounts) {
+		t.Errorf("batched placement %v diverges from oracle %v", batchedCounts, oracleCounts)
 	}
 }
 
@@ -272,7 +266,7 @@ func TestManagerBatchCreateFailure(t *testing.T) {
 		}
 	}()
 	f.fail = true
-	m, _ := NewManager(nil, f)
+	m, _ := NewManager(f)
 	if _, err := m.ExecutionHandles([]string{"1", "2"}); err == nil {
 		t.Fatal("batch factory failure not propagated")
 	}
@@ -294,7 +288,7 @@ func TestManagerDuplicateIDsInBatch(t *testing.T) {
 		for range f.started {
 		}
 	}()
-	m, _ := NewManager(nil, f)
+	m, _ := NewManager(f)
 	hs, err := m.ExecutionHandles([]string{"7", "7", "7"})
 	if err != nil {
 		t.Fatal(err)
@@ -307,9 +301,9 @@ func TestManagerDuplicateIDsInBatch(t *testing.T) {
 	}
 }
 
-// TestPolicyFairnessManyHosts checks replica-policy fairness past the
-// paper's two-host testbed: uniform batches land within ±1 per host for
-// every balanced policy at 3, 4, and 8 replicas.
+// TestPolicyFairnessManyHosts checks the Manager's interleaved placement
+// past the paper's two-host testbed: uniform batches land within ±1 per
+// host at 3, 4, and 8 replicas.
 func TestPolicyFairnessManyHosts(t *testing.T) {
 	for _, replicas := range []int{3, 4, 8} {
 		for _, batch := range []int{24, 25, 124} {
@@ -317,126 +311,27 @@ func TestPolicyFairnessManyHosts(t *testing.T) {
 			for i := range ids {
 				ids[i] = fmt.Sprintf("exec-%03d", i)
 			}
-			for _, policy := range []ReplicaPolicy{InterleavePolicy{}, BlockPolicy{}, HashPolicy{}, LeastLoadedPolicy{}} {
-				var assign []int
-				if la, ok := policy.(LoadAwarePolicy); ok {
-					assign = la.AssignLoaded(ids, make([]HostLoad, replicas))
-				} else {
-					assign = policy.Assign(ids, replicas)
-				}
-				counts := make([]int, replicas)
-				for _, r := range assign {
-					if r < 0 || r >= replicas {
-						t.Fatalf("%s: assignment %d out of range [0,%d)", policy.Name(), r, replicas)
-					}
-					counts[r]++
-				}
-				lo, hi := counts[0], counts[0]
-				for _, c := range counts {
-					if c < lo {
-						lo = c
-					}
-					if c > hi {
-						hi = c
-					}
-				}
-				if hi-lo > 1 {
-					t.Errorf("%s: %d IDs on %d hosts spread %d (>1): %v",
-						policy.Name(), batch, replicas, hi-lo, counts)
-				}
+			hosts := make([]*fakeFactory, replicas)
+			refs := make([]ExecutionFactoryRef, replicas)
+			for r := range hosts {
+				hosts[r] = &fakeFactory{host: fmt.Sprintf("h%d:1", r)}
+				refs[r] = hosts[r]
+			}
+			m, err := NewManager(refs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.ExecutionHandles(ids); err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := batch, 0
+			for _, h := range hosts {
+				lo, hi = min(lo, h.count()), max(hi, h.count())
+			}
+			if hi-lo > 1 {
+				t.Errorf("%d IDs on %d hosts spread %d (>1)", batch, replicas, hi-lo)
 			}
 		}
-	}
-}
-
-// TestHashPolicyIncrementalSpread guards the incremental workload:
-// single-ID batches (clients resolving executions one at a time) must
-// spread across replicas by each ID's own hash, not pile onto replica 0.
-func TestHashPolicyIncrementalSpread(t *testing.T) {
-	for _, replicas := range []int{2, 4} {
-		counts := make([]int, replicas)
-		for i := 0; i < 124; i++ {
-			assign := (HashPolicy{}).Assign([]string{fmt.Sprintf("exec-%03d", i)}, replicas)
-			counts[assign[0]]++
-		}
-		for r, c := range counts {
-			if c == 0 {
-				t.Errorf("%d replicas: replica %d got no single-ID batches: %v", replicas, r, counts)
-			}
-			if c > 124*3/4 {
-				t.Errorf("%d replicas: replica %d hoards single-ID batches: %v", replicas, r, counts)
-			}
-		}
-	}
-}
-
-// TestHashPolicyOrderIndependent: the same ID set must land identically
-// regardless of batch order — the property hash placement trades
-// composition-independence for.
-func TestHashPolicyOrderIndependent(t *testing.T) {
-	ids := []string{"a", "b", "c", "d", "e", "f", "g"}
-	fwd := (HashPolicy{}).Assign(ids, 3)
-	rev := make([]string, len(ids))
-	for i, id := range ids {
-		rev[len(ids)-1-i] = id
-	}
-	revAssign := (HashPolicy{}).Assign(rev, 3)
-	for i, id := range ids {
-		if fwd[i] != revAssign[len(ids)-1-i] {
-			t.Fatalf("id %q placed on %d forward but %d reversed", id, fwd[i], revAssign[len(ids)-1-i])
-		}
-	}
-}
-
-// TestLeastLoadedPolicyFavorsIdleHosts: with one replica pre-loaded, new
-// IDs flow to the others first.
-func TestLeastLoadedPolicyFavorsIdleHosts(t *testing.T) {
-	loads := []HostLoad{{Created: 10}, {Created: 0}, {Created: 0}}
-	ids := []string{"1", "2", "3", "4", "5", "6"}
-	assign := (LeastLoadedPolicy{}).AssignLoaded(ids, loads)
-	counts := make([]int, 3)
-	for _, r := range assign {
-		counts[r]++
-	}
-	if counts[0] != 0 || counts[1] != 3 || counts[2] != 3 {
-		t.Errorf("least-loaded counts = %v, want [0 3 3]", counts)
-	}
-}
-
-// TestAdaptivePolicySkewsFromSlowHosts: a replica observed twice as slow
-// receives roughly half the instances of a fast one.
-func TestAdaptivePolicySkewsFromSlowHosts(t *testing.T) {
-	loads := []HostLoad{{LatencyMs: 2}, {LatencyMs: 1}}
-	ids := make([]string, 30)
-	for i := range ids {
-		ids[i] = fmt.Sprint(i)
-	}
-	assign := (AdaptivePolicy{}).AssignLoaded(ids, loads)
-	counts := make([]int, 2)
-	for _, r := range assign {
-		counts[r]++
-	}
-	if counts[0] >= counts[1] {
-		t.Fatalf("slow host got %d vs fast host's %d", counts[0], counts[1])
-	}
-	if counts[0] < 8 || counts[0] > 12 { // ~1/3 of 30
-		t.Errorf("slow host share = %d, want about 10 of 30", counts[0])
-	}
-}
-
-// TestPolicyByName covers the registry.
-func TestPolicyByName(t *testing.T) {
-	for _, name := range AllPolicyNames {
-		p, err := PolicyByName(name)
-		if err != nil || p.Name() != name {
-			t.Errorf("PolicyByName(%q) = %v, %v", name, p, err)
-		}
-	}
-	if p, err := PolicyByName(""); err != nil || p.Name() != "interleave" {
-		t.Errorf("empty name: %v, %v", p, err)
-	}
-	if _, err := PolicyByName("bogus"); err == nil {
-		t.Error("unknown policy accepted")
 	}
 }
 
@@ -464,7 +359,7 @@ func TestGetPRCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cw := &countingExecWrapper{ExecutionWrapper: ew, delay: 50 * time.Millisecond}
-	svc := NewExecutionService("100", cw, NewCache("lru", 0), nil)
+	svc := NewExecutionService("100", cw, NewCache(0), nil)
 	tr, _ := svc.TimeStartEnd()
 	q := perfdata.Query{Metric: "gflops", Time: tr, Type: "hpl"}
 
@@ -519,7 +414,7 @@ func TestGetPRCoalescingDistinctQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	cw := &countingExecWrapper{ExecutionWrapper: ew, delay: 20 * time.Millisecond}
-	svc := NewExecutionService("100", cw, NewCache("lru", 0), nil)
+	svc := NewExecutionService("100", cw, NewCache(0), nil)
 	tr, _ := svc.TimeStartEnd()
 
 	var wg sync.WaitGroup
@@ -571,7 +466,7 @@ func TestColdBatchWireCalls(t *testing.T) {
 				refs[i] = perIDRef{refs[i]}
 			}
 		}
-		m, err := NewManager(InterleavePolicy{}, refs...)
+		m, err := NewManager(refs...)
 		if err != nil {
 			t.Fatal(err)
 		}

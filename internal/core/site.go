@@ -37,12 +37,8 @@ type SiteConfig struct {
 	// CachingOff disables the Performance Results cache, as in the
 	// paper's Table 5 baseline runs.
 	CachingOff bool
-	// CachePolicy selects the replacement policy ("lru", "lfu", "cost");
-	// empty means LRU. CacheCapacity 0 means unbounded entries.
-	CachePolicy   string
+	// CacheCapacity bounds each LRU cache in entries; 0 means unbounded.
 	CacheCapacity int
-	// Policy selects replica distribution; nil means interleaving.
-	Policy ReplicaPolicy
 	// Interceptors (e.g. a GSI verifier) run on every host.
 	Interceptors []container.Interceptor
 	// Notifications enables per-Execution update notification hubs.
@@ -104,19 +100,10 @@ func StartSite(cfg SiteConfig) (*Site, error) {
 			s.Close()
 			return nil, err
 		}
-		refs = append(refs, &LocalFactoryRef{
-			Factory: execFactory,
-			HostID:  cont.Host(),
-			// Feed the container's worker-pool signals (queue depth,
-			// service-time EWMA) to load-aware replica policies.
-			LoadFn: func() HostLoad {
-				q, x := int(cont.Queued()), int(cont.Executing())
-				return HostLoad{InFlight: q + x, Queued: q, Executing: x, LatencyMs: cont.MeanServiceMs()}
-			},
-		})
+		refs = append(refs, &LocalFactoryRef{Factory: execFactory, HostID: cont.Host()})
 	}
 
-	manager, err := NewManager(cfg.Policy, refs...)
+	manager, err := NewManager(refs...)
 	if err != nil {
 		s.Close()
 		return nil, err
@@ -156,7 +143,7 @@ func (s *Site) executionConstructor(w mapping.ApplicationWrapper) ogsi.Construct
 		}
 		var cache *Cache
 		if !s.cfg.CachingOff {
-			cache = NewCache(s.cfg.CachePolicy, s.cfg.CacheCapacity)
+			cache = NewCache(s.cfg.CacheCapacity)
 		}
 		var hub *ogsi.NotificationHub
 		if s.cfg.Notifications {

@@ -166,7 +166,7 @@ func TestPagedOtherOpsSinglePage(t *testing.T) {
 // marshalling — proven by the encode counter staying flat and by the
 // repeat returning the very same byte slice.
 func TestInvokeRawServesEncodedCache(t *testing.T) {
-	svc, q := smgExecution(t, NewCache("lru", 0))
+	svc, q := smgExecution(t, NewCache(0))
 	first, ok, err := svc.InvokeRawContext(context.Background(), OpGetPR, q.WireParams())
 	if err != nil || !ok {
 		t.Fatalf("first InvokeRaw: ok=%v err=%v", ok, err)
@@ -217,7 +217,7 @@ func TestInvokeRawDeclinesWithoutCache(t *testing.T) {
 // path (decoded results cached, no wire bytes) gets its envelope attached
 // on the first raw call and served from cache on the second.
 func TestInvokeRawAfterDecodedWarm(t *testing.T) {
-	svc, q := smgExecution(t, NewCache("lru", 0))
+	svc, q := smgExecution(t, NewCache(0))
 	if _, err := svc.PerformanceResults(q); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestInvokeRawAfterDecodedWarm(t *testing.T) {
 // TestNotifyUpdateDropsWire: a data update must not leave stale encoded
 // envelopes behind.
 func TestNotifyUpdateDropsWire(t *testing.T) {
-	svc, q := smgExecution(t, NewCache("lru", 0))
+	svc, q := smgExecution(t, NewCache(0))
 	if _, ok, err := svc.InvokeRawContext(context.Background(), OpGetPR, q.WireParams()); !ok || err != nil {
 		t.Fatal(err)
 	}

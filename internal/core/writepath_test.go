@@ -193,7 +193,7 @@ func newLiveService(t *testing.T, shape writeShape) *ExecutionService {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCacheFromConfig(CacheConfig{Policy: "cost"})
+	cache := NewCache(0)
 	return NewExecutionService(shape.execID, ew, cache, nil)
 }
 

@@ -37,7 +37,7 @@ func starPair(t *testing.T) (*ExecutionService, *ExecutionService, *datagen.Data
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewExecutionService(id, ew, NewCacheFromConfig(CacheConfig{Policy: "cost"}), nil)
+		return NewExecutionService(id, ew, NewCache(0), nil)
 	}
 	return mk("1"), mk("2"), smg
 }
@@ -200,7 +200,7 @@ func TestWritePathSingleflightVersionStamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := &gatedWrapper{ExecutionWrapper: inner, entered: make(chan struct{}, 4), gate: make(chan struct{})}
-	svc := NewExecutionService(rma.Execs[0].ID, g, NewCacheFromConfig(CacheConfig{Policy: "cost"}), nil)
+	svc := NewExecutionService(rma.Execs[0].ID, g, NewCache(0), nil)
 
 	q := perfdata.Query{Metric: "bandwidth", Time: rma.Execs[0].Time, Type: perfdata.UndefinedType}
 	write := []perfdata.Result{{
@@ -276,7 +276,7 @@ func TestNotifyUpdateSingleflightVersionStamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := &gatedWrapper{ExecutionWrapper: inner, entered: make(chan struct{}, 4), gate: make(chan struct{})}
-	svc := NewExecutionService(rma.Execs[0].ID, g, NewCacheFromConfig(CacheConfig{Policy: "cost"}), nil)
+	svc := NewExecutionService(rma.Execs[0].ID, g, NewCache(0), nil)
 	q := perfdata.Query{Metric: "bandwidth", Time: rma.Execs[0].Time, Type: perfdata.UndefinedType}
 
 	type outcome struct {

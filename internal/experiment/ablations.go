@@ -21,8 +21,7 @@ import (
 //
 //   - SOAP marshalling cost vs payload size (where Table 4's overhead
 //     comes from).
-//   - Manager replica policies (interleave vs block vs hash).
-//   - Cache replacement policies under a skewed query mix.
+//   - A byte-budgeted cache under a skewed query mix.
 //   - Local bypass vs Services-Layer access (future-work optimization).
 
 // SOAPOverheadPoint is one payload size's marshalling cost.
@@ -93,217 +92,8 @@ func RenderSOAPOverhead(points []SOAPOverheadPoint) string {
 	return viz.Table("Ablation — SOAP marshalling cost vs payload", header, rows)
 }
 
-// PolicyAblationRow is one replica policy's outcome.
-type PolicyAblationRow struct {
-	Policy     string
-	WallMs     float64
-	HostSpread int // max(instances per host) - min(instances per host)
-}
-
-// RunPolicyAblation compares Manager replica policies on an N-host HPL
-// site: same threaded query batch, different placement. Interleaving,
-// hashing, and the load-aware policies balance instances; block placement
-// balances too on a full batch but skews under prefix batches — the
-// spread column shows placement, the wall-time column its effect under
-// single-CPU hosts. nil policies runs every built-in policy; replicas <= 0
-// means the classic two hosts.
-func RunPolicyAblation(cfg Config, policies []string, replicas, executions, repeats int) ([]PolicyAblationRow, error) {
-	cfg = cfg.withDefaults()
-	if len(policies) == 0 {
-		policies = core.AllPolicyNames
-	}
-	if replicas <= 0 {
-		replicas = 2
-	}
-	if executions <= 0 {
-		executions = 32
-	}
-	if repeats <= 0 {
-		repeats = 5
-	}
-	var out []PolicyAblationRow
-	for _, name := range policies {
-		policy, err := core.PolicyByName(name)
-		if err != nil {
-			return nil, err
-		}
-		d := datagen.HPL(datagen.HPLConfig{Executions: 124, Seed: cfg.Seed})
-		wrappers := make([]mapping.ApplicationWrapper, replicas)
-		for i := range wrappers {
-			w, err := mapping.NewWideTable(d)
-			if err != nil {
-				return nil, err
-			}
-			delay := time.Duration(paperMappingMs("HPL") * cfg.Scale * float64(time.Millisecond))
-			wrappers[i] = mapping.WithLatency(w, delay, 0)
-		}
-		site, err := core.StartSite(core.SiteConfig{
-			AppName:    "HPL",
-			Wrappers:   wrappers,
-			Workers:    1,
-			CachingOff: true,
-			Policy:     policy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row, err := runPolicyBatch(site, executions, repeats)
-		site.Close()
-		if err != nil {
-			return nil, err
-		}
-		row.Policy = policy.Name()
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-func runPolicyBatch(site *core.Site, executions, repeats int) (PolicyAblationRow, error) {
-	c := client.NewWithoutRegistry()
-	b, err := c.BindFactory("HPL", site.ApplicationFactoryHandle())
-	if err != nil {
-		return PolicyAblationRow{}, err
-	}
-	// Query the full set (placing every instance under the policy), then
-	// run the batch against a prefix subset, like the paper's Figure 9
-	// batch (runid 100-109). Under block placement the prefix lands on
-	// one host; under interleaving it splits evenly.
-	refs, err := b.QueryExecutions(nil)
-	if err != nil {
-		return PolicyAblationRow{}, err
-	}
-	refs = refs[:executions]
-	q := perfdata.Query{Metric: "gflops", Time: perfdata.TimeRange{Start: 0, End: 1e9}, Type: "hpl"}
-	start := time.Now()
-	results := client.QueryPerformanceResults(refs, q, client.ParallelOptions{Repeats: repeats})
-	wall := time.Since(start)
-	for _, r := range results {
-		if r.Err != nil {
-			return PolicyAblationRow{}, r.Err
-		}
-	}
-	lo, hi := -1, -1
-	for _, v := range site.Manager().PerHostCounts() {
-		if lo == -1 || v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	spread := 0
-	if lo >= 0 {
-		spread = hi - lo
-	}
-	return PolicyAblationRow{
-		WallMs:     float64(wall) / float64(time.Millisecond),
-		HostSpread: spread,
-	}, nil
-}
-
-// RenderPolicyAblation formats the comparison.
-func RenderPolicyAblation(rows []PolicyAblationRow, replicas int) string {
-	if replicas <= 0 {
-		replicas = 2
-	}
-	header := []string{"Policy", "Batch wall (ms)", "Host spread"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{r.Policy, Fmt(r.WallMs), fmt.Sprint(r.HostSpread)})
-	}
-	return viz.Table(fmt.Sprintf("Ablation — Manager replica policies (%d hosts, 1 CPU each)", replicas), header, cells)
-}
-
-// CachePolicyRow is one replacement policy's outcome under a skewed mix.
-type CachePolicyRow struct {
-	Policy    string
-	HitRate   float64
-	MeanMs    float64
-	Evictions int64
-}
-
-// RunCachePolicyAblation drives a capacity-limited Performance Results
-// cache with a Zipf-like query mix over an SMG98-shaped execution: a few
-// hot queries, a long tail, and one expensive whole-trace query that
-// recurs periodically. Cost-aware replacement should protect the
-// expensive entry that LRU/LFU evict under tail pressure.
-func RunCachePolicyAblation(cfg Config, capacity, queries int) ([]CachePolicyRow, error) {
-	cfg = cfg.withDefaults()
-	if capacity <= 0 {
-		capacity = 8
-	}
-	if queries <= 0 {
-		queries = 300
-	}
-	d := datagen.SMG98(cfg.SMG98)
-	var out []CachePolicyRow
-	for _, policy := range []string{"lru", "lfu", "cost"} {
-		star, err := mapping.NewStar(d)
-		if err != nil {
-			return nil, err
-		}
-		delay := time.Duration(paperMappingMs("SMG98") * cfg.Scale / 50 * float64(time.Millisecond))
-		slowed := mapping.WithLatency(star, delay, 0)
-		ew, err := slowed.ExecutionWrapper(d.Execs[0].ID)
-		if err != nil {
-			return nil, err
-		}
-		cache := core.NewCache(policy, capacity)
-		svc := core.NewExecutionService(d.Execs[0].ID, ew, cache, nil)
-
-		tr := d.Execs[0].Time
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		var sample Sample
-		for i := 0; i < queries; i++ {
-			var q perfdata.Query
-			switch {
-			case i%10 == 0:
-				// The recurring expensive query: whole trace, all foci.
-				q = perfdata.Query{Metric: "func_calls", Time: tr, Type: "vampir"}
-			case rng.Float64() < 0.5:
-				// Hot set: per-process func_calls.
-				p := rng.Intn(2)
-				q = perfdata.Query{Metric: "func_calls", Foci: []string{fmt.Sprintf("/Process/%d", p)}, Time: tr, Type: "vampir"}
-			default:
-				// Long tail: per-function windows.
-				fn := datagen.SMG98Functions[rng.Intn(len(datagen.SMG98Functions))]
-				q = perfdata.Query{
-					Metric: "excl_time",
-					Foci:   []string{fmt.Sprintf("/Process/%d/Code/MPI/%s", rng.Intn(2), fn)},
-					Time:   perfdata.TimeRange{Start: tr.End * rng.Float64() / 2, End: tr.End},
-					Type:   "vampir",
-				}
-			}
-			start := time.Now()
-			if _, err := svc.PerformanceResults(q); err != nil {
-				return nil, err
-			}
-			sample.Add(float64(time.Since(start)) / float64(time.Millisecond))
-		}
-		stats := cache.Stats()
-		out = append(out, CachePolicyRow{
-			Policy:    policy,
-			HitRate:   stats.HitRate(),
-			MeanMs:    sample.Mean(),
-			Evictions: stats.Evictions,
-		})
-	}
-	return out, nil
-}
-
-// RenderCachePolicyAblation formats the comparison.
-func RenderCachePolicyAblation(rows []CachePolicyRow) string {
-	header := []string{"Policy", "Hit rate", "Mean query (ms)", "Evictions"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{r.Policy, Fmt(r.HitRate), Fmt(r.MeanMs), fmt.Sprint(r.Evictions)})
-	}
-	return viz.Table("Ablation — cache replacement under a skewed SMG98 mix", header, cells)
-}
-
-// CacheBytesRow is one replacement policy's outcome under a byte budget.
+// CacheBytesRow is the byte-budgeted cache's outcome.
 type CacheBytesRow struct {
-	Policy    string  `json:"policy"`
 	Budget    int64   `json:"budgetBytes"`
 	HitRate   float64 `json:"hitRate"`
 	MeanMs    float64 `json:"meanMs"`
@@ -312,13 +102,15 @@ type CacheBytesRow struct {
 	EndBytes  int64   `json:"endBytes"`
 }
 
-// RunCacheBytesAblation drives the same skewed SMG98 mix as
-// RunCachePolicyAblation against byte-budgeted caches: capacity
-// is accounted in result+wire bytes instead of entries, so one recurring
-// whole-trace result set competes against many small tail windows for the
-// same budget. PeakBytes is sampled after every query; it never exceeds
-// the budget (the invariant the byte accounting guarantees).
-func RunCacheBytesAblation(cfg Config, budget int64, queries int) ([]CacheBytesRow, error) {
+// RunCacheBytesAblation drives a byte-budgeted Performance Results cache
+// with a Zipf-like query mix over an SMG98-shaped execution: a few hot
+// queries, a long tail of per-function windows, and one expensive
+// whole-trace query that recurs every tenth query. Capacity is accounted
+// in result+wire bytes instead of entries, so the whole-trace result set
+// competes against many small tail windows for the same budget.
+// PeakBytes is sampled after every query; it never exceeds the budget
+// (the invariant the byte accounting guarantees).
+func RunCacheBytesAblation(cfg Config, budget int64, queries int) (CacheBytesRow, error) {
 	cfg = cfg.withDefaults()
 	if budget <= 0 {
 		budget = 64 << 10
@@ -327,76 +119,71 @@ func RunCacheBytesAblation(cfg Config, budget int64, queries int) ([]CacheBytesR
 		queries = 300
 	}
 	d := datagen.SMG98(cfg.SMG98)
-	var out []CacheBytesRow
-	for _, policy := range []string{"lru", "lfu", "cost"} {
-		star, err := mapping.NewStar(d)
-		if err != nil {
-			return nil, err
-		}
-		delay := time.Duration(paperMappingMs("SMG98") * cfg.Scale / 50 * float64(time.Millisecond))
-		slowed := mapping.WithLatency(star, delay, 0)
-		ew, err := slowed.ExecutionWrapper(d.Execs[0].ID)
-		if err != nil {
-			return nil, err
-		}
-		cache := core.NewCacheFromConfig(core.CacheConfig{Policy: policy, MaxBytes: budget})
-		svc := core.NewExecutionService(d.Execs[0].ID, ew, cache, nil)
-
-		tr := d.Execs[0].Time
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		var sample Sample
-		var peak int64
-		for i := 0; i < queries; i++ {
-			var q perfdata.Query
-			switch {
-			case i%10 == 0:
-				q = perfdata.Query{Metric: "func_calls", Time: tr, Type: "vampir"}
-			case rng.Float64() < 0.5:
-				p := rng.Intn(2)
-				q = perfdata.Query{Metric: "func_calls", Foci: []string{fmt.Sprintf("/Process/%d", p)}, Time: tr, Type: "vampir"}
-			default:
-				fn := datagen.SMG98Functions[rng.Intn(len(datagen.SMG98Functions))]
-				q = perfdata.Query{
-					Metric: "excl_time",
-					Foci:   []string{fmt.Sprintf("/Process/%d/Code/MPI/%s", rng.Intn(2), fn)},
-					Time:   perfdata.TimeRange{Start: tr.End * rng.Float64() / 2, End: tr.End},
-					Type:   "vampir",
-				}
-			}
-			start := time.Now()
-			if _, err := svc.PerformanceResults(q); err != nil {
-				return nil, err
-			}
-			sample.Add(float64(time.Since(start)) / float64(time.Millisecond))
-			if b := cache.SizeBytes(); b > peak {
-				peak = b
-			}
-		}
-		stats := cache.Stats()
-		out = append(out, CacheBytesRow{
-			Policy:    policy,
-			Budget:    budget,
-			HitRate:   stats.HitRate(),
-			MeanMs:    sample.Mean(),
-			Evictions: stats.Evictions,
-			PeakBytes: peak,
-			EndBytes:  cache.SizeBytes(),
-		})
+	star, err := mapping.NewStar(d)
+	if err != nil {
+		return CacheBytesRow{}, err
 	}
-	return out, nil
+	delay := time.Duration(paperMappingMs("SMG98") * cfg.Scale / 50 * float64(time.Millisecond))
+	slowed := mapping.WithLatency(star, delay, 0)
+	ew, err := slowed.ExecutionWrapper(d.Execs[0].ID)
+	if err != nil {
+		return CacheBytesRow{}, err
+	}
+	cache := core.NewCacheFromConfig(core.CacheConfig{MaxBytes: budget})
+	svc := core.NewExecutionService(d.Execs[0].ID, ew, cache, nil)
+
+	tr := d.Execs[0].Time
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var sample Sample
+	var peak int64
+	for i := 0; i < queries; i++ {
+		var q perfdata.Query
+		switch {
+		case i%10 == 0:
+			// The recurring expensive query: whole trace, all foci.
+			q = perfdata.Query{Metric: "func_calls", Time: tr, Type: "vampir"}
+		case rng.Float64() < 0.5:
+			// Hot set: per-process func_calls.
+			p := rng.Intn(2)
+			q = perfdata.Query{Metric: "func_calls", Foci: []string{fmt.Sprintf("/Process/%d", p)}, Time: tr, Type: "vampir"}
+		default:
+			// Long tail: per-function windows.
+			fn := datagen.SMG98Functions[rng.Intn(len(datagen.SMG98Functions))]
+			q = perfdata.Query{
+				Metric: "excl_time",
+				Foci:   []string{fmt.Sprintf("/Process/%d/Code/MPI/%s", rng.Intn(2), fn)},
+				Time:   perfdata.TimeRange{Start: tr.End * rng.Float64() / 2, End: tr.End},
+				Type:   "vampir",
+			}
+		}
+		start := time.Now()
+		if _, err := svc.PerformanceResults(q); err != nil {
+			return CacheBytesRow{}, err
+		}
+		sample.Add(float64(time.Since(start)) / float64(time.Millisecond))
+		if b := cache.SizeBytes(); b > peak {
+			peak = b
+		}
+	}
+	stats := cache.Stats()
+	return CacheBytesRow{
+		Budget:    budget,
+		HitRate:   stats.HitRate(),
+		MeanMs:    sample.Mean(),
+		Evictions: stats.Evictions,
+		PeakBytes: peak,
+		EndBytes:  cache.SizeBytes(),
+	}, nil
 }
 
-// RenderCacheBytesAblation formats the comparison.
-func RenderCacheBytesAblation(rows []CacheBytesRow) string {
-	header := []string{"Policy", "Budget (B)", "Hit rate", "Mean query (ms)", "Evictions", "Peak bytes", "End bytes"}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Policy, fmt.Sprint(r.Budget), Fmt(r.HitRate), Fmt(r.MeanMs),
-			fmt.Sprint(r.Evictions), fmt.Sprint(r.PeakBytes), fmt.Sprint(r.EndBytes),
-		})
-	}
-	return viz.Table("Ablation — byte-budgeted cache under a skewed SMG98 mix", header, cells)
+// RenderCacheBytesAblation formats the outcome.
+func RenderCacheBytesAblation(r CacheBytesRow) string {
+	header := []string{"Budget (B)", "Hit rate", "Mean query (ms)", "Evictions", "Peak bytes", "End bytes"}
+	cells := [][]string{{
+		fmt.Sprint(r.Budget), Fmt(r.HitRate), Fmt(r.MeanMs),
+		fmt.Sprint(r.Evictions), fmt.Sprint(r.PeakBytes), fmt.Sprint(r.EndBytes),
+	}}
+	return viz.Table("Ablation — byte-budgeted LRU cache under a skewed SMG98 mix", header, cells)
 }
 
 // LocalBypassRow compares Services-Layer and direct-wrapper access.

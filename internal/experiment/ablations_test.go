@@ -27,105 +27,31 @@ func TestRunSOAPOverheadSweep(t *testing.T) {
 	}
 }
 
-func TestRunPolicyAblation(t *testing.T) {
-	rows, err := RunPolicyAblation(Config{Scale: 0.001, Seed: 9}, nil, 2, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byName := map[string]PolicyAblationRow{}
-	for _, r := range rows {
-		byName[r.Policy] = r
-		if r.WallMs <= 0 {
-			t.Errorf("%s: wall = %v", r.Policy, r.WallMs)
-		}
-	}
-	// Every balanced policy places the full 124-instance set within ±1;
-	// block balances the full batch too. Adaptive is excluded: it
-	// deliberately skews toward hosts it has observed to be faster.
-	for _, p := range []string{"interleave", "hash", "least-loaded", "block"} {
-		if byName[p].HostSpread > 1 {
-			t.Errorf("%s spread = %d", p, byName[p].HostSpread)
-		}
-	}
-	if out := RenderPolicyAblation(rows, 2); !strings.Contains(out, "interleave") {
-		t.Error("render incomplete")
-	}
-}
-
-func TestRunPolicyAblationFourHosts(t *testing.T) {
-	rows, err := RunPolicyAblation(Config{Scale: 0.001, Seed: 9}, []string{"interleave", "least-loaded"}, 4, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.HostSpread > 1 {
-			t.Errorf("%s spread = %d on 4 hosts", r.Policy, r.HostSpread)
-		}
-	}
-	if out := RenderPolicyAblation(rows, 4); !strings.Contains(out, "4 hosts") {
-		t.Error("render missing host count")
-	}
-}
-
-func TestRunCachePolicyAblation(t *testing.T) {
-	cfg := Config{Scale: 0.001, Seed: 9, SMG98: datagen.SMG98Config{Executions: 1, Processes: 2, TimeBins: 4}}
-	rows, err := RunCachePolicyAblation(cfg, 4, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.HitRate < 0 || r.HitRate > 1 {
-			t.Errorf("%s: hit rate %v", r.Policy, r.HitRate)
-		}
-		if r.MeanMs <= 0 {
-			t.Errorf("%s: mean %v", r.Policy, r.MeanMs)
-		}
-	}
-	if out := RenderCachePolicyAblation(rows); !strings.Contains(out, "cache replacement") {
-		t.Error("render incomplete")
-	}
-}
-
 func TestRunCacheBytesAblation(t *testing.T) {
 	cfg := Config{Scale: 0.001, Seed: 9, SMG98: datagen.SMG98Config{Executions: 1, Processes: 2, TimeBins: 4}}
 	const budget = 12 << 10
-	rows, err := RunCacheBytesAblation(cfg, budget, 60)
+	r, err := RunCacheBytesAblation(cfg, budget, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	// The invariant the byte accounting guarantees: cached bytes (results
+	// + wire) never exceed the configured budget.
+	if r.PeakBytes > budget {
+		t.Errorf("peak bytes %d exceed budget %d", r.PeakBytes, budget)
 	}
-	for _, r := range rows {
-		// The invariant the byte accounting guarantees: cached bytes
-		// (results + wire) never exceed the configured budget, under any
-		// replacement policy.
-		if r.PeakBytes > budget {
-			t.Errorf("%s: peak bytes %d exceed budget %d", r.Policy, r.PeakBytes, budget)
-		}
-		if r.EndBytes > budget {
-			t.Errorf("%s: end bytes %d exceed budget %d", r.Policy, r.EndBytes, budget)
-		}
-		if r.PeakBytes == 0 {
-			t.Errorf("%s: workload never filled the cache", r.Policy)
-		}
-		if r.Evictions == 0 {
-			t.Errorf("%s: workload never evicted; budget untested", r.Policy)
-		}
-		if r.HitRate < 0 || r.HitRate > 1 {
-			t.Errorf("%s: hit rate %v", r.Policy, r.HitRate)
-		}
+	if r.EndBytes > budget {
+		t.Errorf("end bytes %d exceed budget %d", r.EndBytes, budget)
 	}
-	if out := RenderCacheBytesAblation(rows); !strings.Contains(out, "byte-budgeted") {
+	if r.PeakBytes == 0 {
+		t.Error("workload never filled the cache")
+	}
+	if r.Evictions == 0 {
+		t.Error("workload never evicted; budget untested")
+	}
+	if r.HitRate < 0 || r.HitRate > 1 {
+		t.Errorf("hit rate %v", r.HitRate)
+	}
+	if out := RenderCacheBytesAblation(r); !strings.Contains(out, "byte-budgeted") {
 		t.Error("render incomplete")
 	}
 }

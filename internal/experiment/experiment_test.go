@@ -231,32 +231,11 @@ func TestRunFigure12Quick(t *testing.T) {
 		}
 	}
 	text := report.Render()
-	for _, want := range []string{"Figure 12", "Mean speedup", "Non-Optimized", "4 hosts", "Shape checks"} {
+	for _, want := range []string{"Figure 12", "Mean speedup", "Non-Optimized", "4 hosts", "Shape checks",
+		"ok        Manager interleave balances instances across 4 hosts (±1)"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("render missing %q", want)
 		}
-	}
-}
-
-func TestRunFigure12SweepPolicies(t *testing.T) {
-	sweep, err := RunFigure12Sweep(Figure12Config{
-		Config:          quickCfg(),
-		ExecutionCounts: []int{2, 4},
-		Repeats:         2,
-		BatchRuns:       1,
-		HostCounts:      []int{2},
-	}, []string{"interleave", "least-loaded"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sweep.Reports) != 2 {
-		t.Fatalf("reports = %d", len(sweep.Reports))
-	}
-	if sweep.Reports[0].Policy != "interleave" || sweep.Reports[1].Policy != "least-loaded" {
-		t.Errorf("policies = %q, %q", sweep.Reports[0].Policy, sweep.Reports[1].Policy)
-	}
-	if !strings.Contains(sweep.Render(), "mean speedup per replica policy") {
-		t.Error("sweep render missing cross-policy summary")
 	}
 }
 

@@ -27,9 +27,6 @@ type Figure12Config struct {
 	// extends it to {1, 2, 4, 8}. 1 (the non-optimized baseline) is
 	// prepended when absent.
 	HostCounts []int
-	// Policy names the Manager's replica policy for the replicated runs;
-	// empty means the paper's interleaving.
-	Policy string
 }
 
 // Figure12Point is one x-position of the reproduced Figure 12: the mean
@@ -48,7 +45,6 @@ func (p Figure12Point) OneHostMs() float64 { return p.WallMs[1] }
 // Figure12Report is the reproduced Figure 12, generalized to an N-host
 // replicas axis.
 type Figure12Report struct {
-	Policy     string
 	HostCounts []int // ascending; element 0 is the 1-host baseline
 	Points     []Figure12Point
 	// MeanSpeedup is the mean speedup over the measured sizes, per
@@ -83,20 +79,17 @@ func RunFigure12(cfg Figure12Config) (*Figure12Report, error) {
 	maxCount := counts[len(counts)-1]
 
 	report := &Figure12Report{
-		Policy:         policyName(cfg.Policy),
 		HostCounts:     hosts,
 		MeanSpeedup:    make(map[int]float64),
 		InstanceCounts: make(map[int]map[string]int),
 	}
-	base := cfg.Config
-	base.Policy = cfg.Policy
 	wall := make(map[int]map[int]float64) // replicas -> executions -> ms
 	for _, r := range hosts {
 		var instances map[string]int
 		if r > 1 {
 			instances = map[string]int{}
 		}
-		ms, err := runScalability(base, r, counts, maxCount, repeats, batchRuns, instances)
+		ms, err := runScalability(cfg.Config, r, counts, maxCount, repeats, batchRuns, instances)
 		if err != nil {
 			return nil, err
 		}
@@ -150,13 +143,6 @@ func normalizeHostCounts(hosts []int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func policyName(name string) string {
-	if name == "" {
-		return "interleave"
-	}
-	return name
 }
 
 // runScalability measures mean batch wall time per execution count on a
@@ -233,7 +219,7 @@ func (r *Figure12Report) Render() string {
 		}
 		rows = append(rows, append(row, paper))
 	}
-	out := viz.Table(fmt.Sprintf("Figure 12 — PPerfGrid Scalability (measured, policy=%s)", r.Policy), header, rows)
+	out := viz.Table("Figure 12 — PPerfGrid Scalability (measured)", header, rows)
 	for _, h := range r.HostCounts[1:] {
 		note := ""
 		if h == 2 {
@@ -313,9 +299,6 @@ func (r *Figure12Report) CheckShape() []string {
 			check(fmt.Sprintf("%d-host run used all replica hosts", h), false)
 			continue
 		}
-		if r.Policy == "adaptive" {
-			continue // adaptive deliberately skews toward observed-faster hosts
-		}
 		lo, hi := -1, -1
 		for _, c := range counts {
 			if lo == -1 || c < lo {
@@ -325,7 +308,7 @@ func (r *Figure12Report) CheckShape() []string {
 				hi = c
 			}
 		}
-		check(fmt.Sprintf("Manager %s balances instances across %d hosts (±1)", r.Policy, h), hi-lo <= 1)
+		check(fmt.Sprintf("Manager interleave balances instances across %d hosts (±1)", h), hi-lo <= 1)
 	}
 	return out
 }
@@ -334,66 +317,6 @@ func (r *Figure12Report) CheckShape() []string {
 func (r *Figure12Report) ShapeOK() bool {
 	for _, line := range r.CheckShape() {
 		if strings.HasPrefix(line, "MISMATCH") {
-			return false
-		}
-	}
-	return true
-}
-
-// Figure12Sweep is one Figure 12 run per replica policy — the speedup
-// curves the scale-out ablation compares.
-type Figure12Sweep struct {
-	Reports []*Figure12Report
-}
-
-// RunFigure12Sweep reruns Figure 12 once per named policy.
-func RunFigure12Sweep(cfg Figure12Config, policies []string) (*Figure12Sweep, error) {
-	if len(policies) == 0 {
-		policies = []string{cfg.Policy}
-	}
-	sweep := &Figure12Sweep{}
-	for _, p := range policies {
-		c := cfg
-		c.Policy = p
-		report, err := RunFigure12(c)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: figure 12 policy %q: %w", policyName(p), err)
-		}
-		sweep.Reports = append(sweep.Reports, report)
-	}
-	return sweep, nil
-}
-
-// Render prints each policy's figure plus a cross-policy summary of mean
-// speedups per replica count.
-func (s *Figure12Sweep) Render() string {
-	var out strings.Builder
-	for _, r := range s.Reports {
-		out.WriteString(r.Render())
-		out.WriteString("\n")
-	}
-	if len(s.Reports) > 1 {
-		header := []string{"Policy"}
-		for _, h := range s.Reports[0].HostCounts[1:] {
-			header = append(header, fmt.Sprintf("Mean speedup x%d", h))
-		}
-		var rows [][]string
-		for _, r := range s.Reports {
-			row := []string{r.Policy}
-			for _, h := range r.HostCounts[1:] {
-				row = append(row, Fmt(r.MeanSpeedup[h]))
-			}
-			rows = append(rows, row)
-		}
-		out.WriteString(viz.Table("Figure 12 — mean speedup per replica policy", header, rows))
-	}
-	return out.String()
-}
-
-// ShapeOK reports whether every policy's shape checks passed.
-func (s *Figure12Sweep) ShapeOK() bool {
-	for _, r := range s.Reports {
-		if !r.ShapeOK() {
 			return false
 		}
 	}

@@ -26,14 +26,8 @@ type Config struct {
 	Workers int
 	// Replicas is the number of replica hosts per site (>= 1).
 	Replicas int
-	// Policy names the Manager's replica policy ("interleave", "block",
-	// "hash", "least-loaded", "adaptive"); empty means interleave.
-	Policy string
 	// CachingOff disables the Performance Results cache.
 	CachingOff bool
-	// CachePolicy selects the cache replacement policy ("lru", "lfu",
-	// "cost"); empty means LRU.
-	CachePolicy string
 }
 
 func (c Config) withDefaults() Config {
@@ -168,17 +162,11 @@ func newSource(name string, d *datagen.Dataset, metric, typ string, cfg Config,
 			rec = r
 		}
 	}
-	policy, err := core.PolicyByName(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
 	site, err := core.StartSite(core.SiteConfig{
-		AppName:     name,
-		Wrappers:    wrappers,
-		Workers:     cfg.Workers,
-		CachingOff:  cfg.CachingOff,
-		CachePolicy: cfg.CachePolicy,
-		Policy:      policy,
+		AppName:    name,
+		Wrappers:   wrappers,
+		Workers:    cfg.Workers,
+		CachingOff: cfg.CachingOff,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiment: start %s site: %w", name, err)

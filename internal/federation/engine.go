@@ -16,10 +16,9 @@
 //   - exponential-backoff-with-jitter retries, drawn from a retry budget
 //     shared by the whole query (one sick site cannot amplify a fan-out
 //     into a retry storm);
-//   - a closed/open/half-open circuit breaker, generalizing the
-//     scale-out layer's adaptive load-EWMA replica policy into site
-//     selection: persistently failing sites are skipped outright and
-//     re-admitted through single probe calls.
+//   - a closed/open/half-open circuit breaker in site selection:
+//     persistently failing sites are skipped outright and re-admitted
+//     through single probe calls.
 //
 // The merge layer never fails all-or-nothing: a Report carries results
 // from every site that answered next to explicit per-site annotations —

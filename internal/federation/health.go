@@ -7,8 +7,8 @@ import (
 
 // latencyEWMA tracks a site's success latency as two exponential moving
 // averages — the mean and the mean absolute deviation — the same
-// cheap-to-update signal the container's worker pools feed the adaptive
-// replica policy, reused here to time hedges. For roughly bell-shaped
+// cheap-to-update signal the container keeps for its Retry-After hint,
+// used here to time hedges. For roughly bell-shaped
 // latency, mean + 3*MAD sits near the 99th percentile (MAD ≈ 0.8σ, and
 // p99 ≈ mean + 2.33σ), which is exactly when a hedge is worth firing:
 // the outstanding attempt is already slower than ~99% of its peers.
