@@ -24,6 +24,7 @@ import (
 	"pperfgrid/internal/gsi"
 	"pperfgrid/internal/mapping"
 	"pperfgrid/internal/minidb"
+	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/perfdata"
 	"pperfgrid/internal/soap"
 )
@@ -453,7 +454,7 @@ func BenchmarkManagerHandles(b *testing.B) {
 				for i, host := range site.Hosts() {
 					refs[i] = core.NewRemoteFactoryRef(host)
 					if mode == "ColdPerID" {
-						refs[i] = perIDRef{refs[i]}
+						refs[i] = perIDRef{core.NewRemoteFactoryRef(host)}
 					}
 				}
 				b.ResetTimer()
@@ -486,9 +487,24 @@ func BenchmarkManagerHandles(b *testing.B) {
 	}
 }
 
-// perIDRef hides a factory ref's CreateExecutions, so the Manager creates
-// each ID with its own CreateService round trip.
-type perIDRef struct{ core.ExecutionFactoryRef }
+// perIDRef creates each ID with its own CreateService round trip: the
+// per-ID path the plural one is measured against.
+type perIDRef struct{ *core.RemoteFactoryRef }
+
+func (r perIDRef) CreateExecutions(ids []string) ([]string, error) {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		h, err := r.Stub.Call(ogsi.OpCreateService, id)
+		if err != nil {
+			return nil, err
+		}
+		if len(h) != 1 {
+			return nil, fmt.Errorf("CreateService returned %d values", len(h))
+		}
+		out[i] = h[0]
+	}
+	return out, nil
+}
 
 // BenchmarkCacheGetPut measures Get/Put throughput under capacity
 // pressure.

@@ -34,14 +34,18 @@ type fakeFactory struct {
 	fail bool
 }
 
-func (f *fakeFactory) CreateExecution(id string) (string, error) {
+func (f *fakeFactory) CreateExecutions(ids []string) ([]string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail {
-		return "", errors.New("factory down")
+		return nil, errors.New("factory down")
 	}
-	f.made = append(f.made, id)
-	return gsh.New(f.host, ExecutionType, id).String(), nil
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		f.made = append(f.made, id)
+		out[i] = gsh.New(f.host, ExecutionType, id).String()
+	}
+	return out, nil
 }
 
 func (f *fakeFactory) Host() string { return f.host }

@@ -14,22 +14,12 @@ import (
 // Manager uses it to create Execution service instances for unique IDs.
 // Local (same-process) and remote (SOAP) adapters are provided.
 type ExecutionFactoryRef interface {
-	// CreateExecution instantiates an Execution service for the ID and
-	// returns its GSH string.
-	CreateExecution(execID string) (string, error)
+	// CreateExecutions instantiates one Execution service per ID and
+	// returns their GSH strings in order — one SOAP round trip per
+	// replica, not one per instance.
+	CreateExecutions(execIDs []string) ([]string, error)
 	// Host names the replica, for fairness accounting and reports.
 	Host() string
-}
-
-// BatchFactoryRef is an optional ExecutionFactoryRef extension: one call
-// instantiates a whole group of IDs — one SOAP round trip per replica
-// instead of one per instance. Refs without it fall back to per-ID
-// creation (still grouped and run concurrently across replicas).
-type BatchFactoryRef interface {
-	ExecutionFactoryRef
-	// CreateExecutions instantiates one Execution service per ID and
-	// returns their GSH strings in order.
-	CreateExecutions(execIDs []string) ([]string, error)
 }
 
 // LocalFactoryRef adapts an in-process ogsi.Factory.
@@ -38,17 +28,8 @@ type LocalFactoryRef struct {
 	HostID  string
 }
 
-// CreateExecution implements ExecutionFactoryRef.
-func (l *LocalFactoryRef) CreateExecution(execID string) (string, error) {
-	in, err := l.Factory.Create([]string{execID})
-	if err != nil {
-		return "", err
-	}
-	return in.Handle().String(), nil
-}
-
-// CreateExecutions implements BatchFactoryRef (in-process, so "one round
-// trip" is free — this keeps the local and remote paths symmetric).
+// CreateExecutions implements ExecutionFactoryRef (in-process, so "one
+// round trip" is free — this keeps the local and remote paths symmetric).
 func (l *LocalFactoryRef) CreateExecutions(execIDs []string) ([]string, error) {
 	ins, err := l.Factory.CreateBatch(execIDs)
 	if err != nil {
@@ -76,20 +57,8 @@ func NewRemoteFactoryRef(host string) *RemoteFactoryRef {
 	return &RemoteFactoryRef{Stub: container.Dial(gsh.Persistent(host, ExecutionType+"Factory"))}
 }
 
-// CreateExecution implements ExecutionFactoryRef.
-func (r *RemoteFactoryRef) CreateExecution(execID string) (string, error) {
-	out, err := r.Stub.Call(ogsi.OpCreateService, execID)
-	if err != nil {
-		return "", err
-	}
-	if len(out) != 1 {
-		return "", fmt.Errorf("core: CreateService returned %d values", len(out))
-	}
-	return out[0], nil
-}
-
-// CreateExecutions implements BatchFactoryRef: the whole group costs one
-// SOAP round trip (the factory's plural CreateServices operation).
+// CreateExecutions implements ExecutionFactoryRef: the whole group costs
+// one SOAP round trip (the factory's plural CreateServices operation).
 func (r *RemoteFactoryRef) CreateExecutions(execIDs []string) ([]string, error) {
 	out, err := r.Stub.Call(ogsi.OpCreateServices, execIDs...)
 	if err != nil {
@@ -124,11 +93,11 @@ type pendingCreate struct {
 // replica i mod N, so ID 1 lands on host A, ID 2 on host B, and so on.
 //
 // A cold batch is created in parallel: missing IDs are grouped by
-// replica, each group goes out as one plural CreateServices
-// call (for BatchFactoryRefs), and the groups run concurrently. The
-// Manager's mutex is never held across the wire — cached-handle lookups
-// proceed while creations are in flight, and in-flight markers make
-// duplicate requests wait for the first creation instead of re-creating.
+// replica, each group goes out as one plural CreateServices call, and the
+// groups run concurrently. The Manager's mutex is never held across the
+// wire — cached-handle lookups proceed while creations are in flight, and
+// in-flight markers make duplicate requests wait for the first creation
+// instead of re-creating.
 type Manager struct {
 	factories []ExecutionFactoryRef
 
@@ -154,7 +123,7 @@ func NewManager(factories ...ExecutionFactoryRef) (*Manager, error) {
 // ExecutionHandles returns one GSH per execution ID, creating instances
 // for IDs seen for the first time and serving the rest from the cache.
 // Uncached IDs are interleaved across the replica factories and created
-// concurrently, one (batched) factory call per replica; IDs whose
+// concurrently, one plural factory call per replica; IDs whose
 // creation another request already started are waited on, not
 // re-created. On any creation failure the whole request reports the first
 // error (handles created before the failure stay cached); failed IDs are
@@ -213,28 +182,13 @@ func (m *Manager) ExecutionHandles(ids []string) ([]string, error) {
 	return out, nil
 }
 
-// createOn instantiates one replica's group of IDs — a single plural call
-// when the factory ref is a BatchFactoryRef, per-ID calls otherwise — then
-// publishes the outcome to the cache and every waiter.
+// createOn instantiates one replica's group of IDs with a single plural
+// call, then publishes the outcome to the cache and every waiter.
 func (m *Manager) createOn(r int, group []string, pending map[string]*pendingCreate) {
 	f := m.factories[r]
-	var handles []string // created prefix of group
-	var err error
-	if bf, ok := f.(BatchFactoryRef); ok {
-		handles, err = bf.CreateExecutions(group)
-		if err != nil {
-			handles = nil // plural call is all-or-nothing
-		}
-	} else {
-		handles = make([]string, 0, len(group))
-		for _, id := range group {
-			h, cerr := f.CreateExecution(id)
-			if cerr != nil {
-				err = cerr
-				break
-			}
-			handles = append(handles, h)
-		}
+	handles, err := f.CreateExecutions(group)
+	if err != nil {
+		handles = nil // the plural call is all-or-nothing
 	}
 
 	m.mu.Lock()

@@ -16,10 +16,11 @@ import (
 	"pperfgrid/internal/datagen"
 	"pperfgrid/internal/gsh"
 	"pperfgrid/internal/mapping"
+	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/perfdata"
 )
 
-// slowBatchFactory is a BatchFactoryRef whose creations block until
+// slowBatchFactory is an ExecutionFactoryRef whose creations block until
 // released — the "slow remote factory" the regression tests need.
 type slowBatchFactory struct {
 	host    string
@@ -30,7 +31,6 @@ type slowBatchFactory struct {
 	mu         sync.Mutex
 	made       []string
 	batchCalls int
-	unitCalls  int
 }
 
 func newSlowBatchFactory(host string) *slowBatchFactory {
@@ -39,19 +39,6 @@ func newSlowBatchFactory(host string) *slowBatchFactory {
 		started: make(chan string, 64),
 		release: make(chan struct{}),
 	}
-}
-
-func (f *slowBatchFactory) CreateExecution(id string) (string, error) {
-	f.started <- id
-	<-f.release
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.unitCalls++
-	if f.fail {
-		return "", errors.New("factory down")
-	}
-	f.made = append(f.made, id)
-	return gsh.New(f.host, ExecutionType, id).String(), nil
 }
 
 func (f *slowBatchFactory) CreateExecutions(ids []string) ([]string, error) {
@@ -73,10 +60,10 @@ func (f *slowBatchFactory) CreateExecutions(ids []string) ([]string, error) {
 
 func (f *slowBatchFactory) Host() string { return f.host }
 
-func (f *slowBatchFactory) counts() (made, batch, unit int) {
+func (f *slowBatchFactory) counts() (made, batch int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.made), f.batchCalls, f.unitCalls
+	return len(f.made), f.batchCalls
 }
 
 // TestManagerCachedReadsDontStallBehindCreation is the regression test
@@ -156,8 +143,8 @@ func TestManagerInFlightDeduplicates(t *testing.T) {
 	if a != b {
 		t.Fatalf("waiter got different handle: %q vs %q", a, b)
 	}
-	if made, batch, unit := f.counts(); made != 1 || batch+unit != 1 {
-		t.Fatalf("made=%d batch=%d unit=%d, want one creation", made, batch, unit)
+	if made, batch := f.counts(); made != 1 || batch != 1 {
+		t.Fatalf("made=%d batch=%d, want one creation", made, batch)
 	}
 }
 
@@ -184,55 +171,62 @@ func TestManagerBatchGroupsPerReplica(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	aMade, aBatch, aUnit := a.counts()
-	bMade, bBatch, bUnit := b.counts()
+	aMade, aBatch := a.counts()
+	bMade, bBatch := b.counts()
 	if aMade != 3 || bMade != 3 {
 		t.Fatalf("distribution %d/%d, want 3/3", aMade, bMade)
 	}
-	if aBatch != 1 || bBatch != 1 || aUnit != 0 || bUnit != 0 {
-		t.Fatalf("calls a(batch=%d,unit=%d) b(batch=%d,unit=%d), want one plural call each",
-			aBatch, aUnit, bBatch, bUnit)
+	if aBatch != 1 || bBatch != 1 {
+		t.Fatalf("calls a=%d b=%d, want one plural call each", aBatch, bBatch)
 	}
 }
 
-// perIDRef hides a factory ref's CreateExecutions (and every other
-// optional interface), so the Manager creates each ID with its own
-// CreateExecution call — the per-ID oracle the batched path is tested
-// against.
-type perIDRef struct{ ExecutionFactoryRef }
+// perIDRef is the per-ID creation path, kept only as the oracle the
+// plural path is tested against: its CreateExecutions makes one
+// single-ID CreateService round trip per ID.
+type perIDRef struct{ *RemoteFactoryRef }
+
+func (r perIDRef) CreateExecutions(ids []string) ([]string, error) {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		h, err := r.Stub.Call(ogsi.OpCreateService, id)
+		if err != nil {
+			return nil, err
+		}
+		if len(h) != 1 {
+			return nil, fmt.Errorf("CreateService returned %d values", len(h))
+		}
+		out[i] = h[0]
+	}
+	return out, nil
+}
 
 // TestManagerBatchedMatchesPerIDOracle differentially tests the batched
-// path against the per-ID oracle: same IDs, same handles and same
-// placement.
+// path against the per-ID oracle over remote factories: same IDs, same
+// replica for every ID, and same placement counts.
 func TestManagerBatchedMatchesPerIDOracle(t *testing.T) {
-	ids := make([]string, 25)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("e%02d", i)
+	const replicas = 3
+	d := datagen.HPL(datagen.HPLConfig{Executions: 25, Seed: 34})
+	wrappers := make([]mapping.ApplicationWrapper, replicas)
+	for i := range wrappers {
+		wrappers[i] = mapping.NewMemory(d)
+	}
+	site, err := StartSite(SiteConfig{AppName: "HPL", Wrappers: wrappers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer site.Close()
+	ids, err := site.LocalWrapper().AllExecIDs()
+	if err != nil {
+		t.Fatal(err)
 	}
 	run := func(batched bool) ([]string, map[string]int) {
 		t.Helper()
-		a := newSlowBatchFactory("a:1")
-		b := newSlowBatchFactory("b:1")
-		c := newSlowBatchFactory("c:1")
-		close(a.release)
-		close(b.release)
-		close(c.release)
-		go func() { // drain the started channel; creations are instant
-			for range a.started {
-			}
-		}()
-		go func() {
-			for range b.started {
-			}
-		}()
-		go func() {
-			for range c.started {
-			}
-		}()
-		refs := []ExecutionFactoryRef{a, b, c}
-		if !batched {
-			for i := range refs {
-				refs[i] = perIDRef{refs[i]}
+		refs := make([]ExecutionFactoryRef, replicas)
+		for i, host := range site.Hosts() {
+			refs[i] = NewRemoteFactoryRef(host)
+			if !batched {
+				refs[i] = perIDRef{NewRemoteFactoryRef(host)}
 			}
 		}
 		m, err := NewManager(refs...)
@@ -243,12 +237,20 @@ func TestManagerBatchedMatchesPerIDOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return hs, m.PerHostCounts()
+		hosts := make([]string, len(hs))
+		for i, h := range hs {
+			g, err := gsh.Parse(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts[i] = g.Host
+		}
+		return hosts, m.PerHostCounts()
 	}
-	batchedHs, batchedCounts := run(true)
-	oracleHs, oracleCounts := run(false)
-	if !reflect.DeepEqual(batchedHs, oracleHs) {
-		t.Errorf("batched handles diverge from per-ID oracle:\n%v\n%v", batchedHs, oracleHs)
+	batchedHosts, batchedCounts := run(true)
+	oracleHosts, oracleCounts := run(false)
+	if !reflect.DeepEqual(batchedHosts, oracleHosts) {
+		t.Errorf("batched replicas diverge from per-ID oracle:\n%v\n%v", batchedHosts, oracleHosts)
 	}
 	if !reflect.DeepEqual(batchedCounts, oracleCounts) {
 		t.Errorf("batched placement %v diverges from oracle %v", batchedCounts, oracleCounts)
@@ -296,7 +298,7 @@ func TestManagerDuplicateIDsInBatch(t *testing.T) {
 	if hs[0] != hs[1] || hs[1] != hs[2] {
 		t.Fatalf("duplicate IDs got different handles: %v", hs)
 	}
-	if made, _, _ := f.counts(); made != 1 {
+	if made, _ := f.counts(); made != 1 {
 		t.Fatalf("created %d instances for one unique ID", made)
 	}
 }
@@ -463,7 +465,7 @@ func TestColdBatchWireCalls(t *testing.T) {
 		for i, host := range site.Hosts() {
 			refs[i] = NewRemoteFactoryRef(host)
 			if perID {
-				refs[i] = perIDRef{refs[i]}
+				refs[i] = perIDRef{NewRemoteFactoryRef(host)}
 			}
 		}
 		m, err := NewManager(refs...)

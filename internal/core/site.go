@@ -242,13 +242,25 @@ func (s *Site) NotifyUpdate(execID, message string) {
 // write lands on every replica's wrapper (or replicas would diverge), and
 // every live Execution instance for the ID then applies its
 // write-visibility sequence (epoch bump, cache purge, subscriber
-// notification). A publishPR call on a single instance, by contrast,
-// writes only that replica's store — single-replica sites (the common
-// test topology) can use either path interchangeably.
+// notification). A publish that fails part way still runs that sequence
+// once any replica has been written to — a failed wrapper call may also
+// have applied part of the batch — so no instance serves its pre-write
+// answer over post-write data; the error is still returned. A publishPR
+// call on a single instance, by contrast, writes only that replica's
+// store — single-replica sites (the common test topology) can use either
+// path interchangeably.
 func (s *Site) PublishResults(execID string, rs []perfdata.Result) error {
 	if len(rs) == 0 {
 		return nil
 	}
+	written := false
+	defer func() {
+		if written {
+			for _, svc := range s.ExecutionServices(execID) {
+				svc.noteWrite(fmt.Sprintf("published %d results", len(rs)))
+			}
+		}
+	}()
 	for _, w := range s.cfg.Wrappers {
 		ew, err := w.ExecutionWrapper(execID)
 		if err != nil {
@@ -258,12 +270,10 @@ func (s *Site) PublishResults(execID string, rs []perfdata.Result) error {
 		if !ok {
 			return fmt.Errorf("core: site %s execution %s: %w", s.cfg.AppName, execID, mapping.ErrNotWritable)
 		}
+		written = true
 		if err := rw.PublishResults(rs); err != nil {
 			return err
 		}
-	}
-	for _, svc := range s.ExecutionServices(execID) {
-		svc.noteWrite(fmt.Sprintf("published %d results", len(rs)))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strconv"
 	"testing"
 	"time"
@@ -279,13 +280,13 @@ func TestSiteExecutionFactoryValidatesParams(t *testing.T) {
 	site := startHPLSite(t, 2, 1)
 	// Calling the Execution factory directly with bad params faults.
 	ref := NewRemoteFactoryRef(site.PrimaryHost())
-	if _, err := ref.CreateExecution(""); err == nil {
+	if _, err := ref.CreateExecutions([]string{""}); err == nil {
 		t.Error("empty execution ID accepted")
 	}
-	if _, err := ref.CreateExecution("does-not-exist"); err == nil {
+	if _, err := ref.CreateExecutions([]string{"does-not-exist"}); err == nil {
 		t.Error("unknown execution ID accepted")
 	}
-	if _, err := ref.CreateExecution("100"); err != nil {
+	if _, err := ref.CreateExecutions([]string{"100"}); err != nil {
 		t.Errorf("valid ID rejected: %v", err)
 	}
 }
@@ -352,5 +353,79 @@ func TestCacheKeyCanonicalizationOverWire(t *testing.T) {
 	stats := svcs[0].CacheStats()
 	if stats.Hits != 1 || stats.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit + 1 miss (reordered foci share a key)", stats)
+	}
+}
+
+// failPublishApp decorates one replica's wrapper so every publish to any
+// of its executions fails.
+type failPublishApp struct{ mapping.ApplicationWrapper }
+
+func (a failPublishApp) ExecutionWrapper(id string) (mapping.ExecutionWrapper, error) {
+	ew, err := a.ApplicationWrapper.ExecutionWrapper(id)
+	if err != nil {
+		return nil, err
+	}
+	return failPublishExec{ew}, nil
+}
+
+type failPublishExec struct{ mapping.ExecutionWrapper }
+
+func (failPublishExec) PublishResults([]perfdata.Result) error {
+	return errors.New("replica down")
+}
+
+// TestSitePublishPartialFailureRetiresCache: when a site publish fails on
+// replica 1 after replica 0 applied it, the call reports the failure, but
+// the instance on replica 0 must not keep serving its pre-write answer
+// over post-write data.
+func TestSitePublishPartialFailureRetiresCache(t *testing.T) {
+	smg := datagen.SMG98(datagen.SMG98Config{Executions: 1, Processes: 2, TimeBins: 2, Seed: 33})
+	var wrappers []mapping.ApplicationWrapper
+	for i := 0; i < 2; i++ {
+		w, err := mapping.NewStar(smg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrappers = append(wrappers, w)
+	}
+	wrappers[1] = failPublishApp{wrappers[1]}
+	site, err := StartSite(SiteConfig{AppName: "SMG98", Wrappers: wrappers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(site.Close)
+
+	id := smg.Execs[0].ID
+	if _, err := site.Manager().ExecutionHandles([]string{id}); err != nil {
+		t.Fatal(err)
+	}
+	svcs := site.ExecutionServices(id)
+	if len(svcs) != 1 {
+		t.Fatalf("%d live instances, want 1", len(svcs))
+	}
+	q := perfdata.Query{Metric: "func_calls", Foci: []string{"/Process/9"}, Time: perfdata.TimeRange{Start: 0, End: 60}, Type: perfdata.UndefinedType}
+	if rs, err := svcs[0].PerformanceResults(q); err != nil || len(rs) != 0 {
+		t.Fatalf("pre-publish read: %v, %v", rs, err)
+	}
+
+	add := []perfdata.Result{{
+		Metric: "func_calls", Focus: "/Process/9/Code/MPI/MPI_Barrier", Type: "vampir",
+		Time: perfdata.TimeRange{Start: 0, End: 1}, Value: 3,
+	}}
+	if err := site.PublishResults(id, add); err == nil {
+		t.Fatal("publish failing on replica 1 reported success")
+	}
+	ew, err := wrappers[0].ExecutionWrapper(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := ew.PerformanceResults(q); err != nil || len(rs) != 1 {
+		t.Fatalf("replica 0 store: %v, %v; want the published row", rs, err)
+	}
+	if svcs[0].Epoch() != 1 {
+		t.Errorf("instance epoch %d after a partly applied publish, want 1", svcs[0].Epoch())
+	}
+	if rs, err := svcs[0].PerformanceResults(q); err != nil || len(rs) != 1 {
+		t.Errorf("instance serves %v, %v after a partly applied publish; want the published row", rs, err)
 	}
 }

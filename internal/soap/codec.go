@@ -1,33 +1,36 @@
 package soap
 
-// This file is the hand-rolled wire codec: a streaming encoder that writes
-// envelope bytes directly to an io.Writer with no reflection, and a strict
-// decoder for the canonical envelope shape that codec produces. Both exist
-// because the reflection-driven encoding/xml round trip was measured as the
-// principal component of the Table 4 grid-services overhead; the envelope
-// shapes are fixed (see the package comment), so the general-purpose
-// machinery buys nothing on the hot path.
+// This file is the hand-rolled wire codec: the one envelope writer, which
+// streams envelope bytes directly to an io.Writer with no reflection, and
+// a strict decoder for the canonical envelope shape it produces. Both
+// exist because the reflection-driven encoding/xml round trip was
+// measured as the principal component of the Table 4 grid-services
+// overhead; the envelope shapes are fixed (see the package comment), so
+// the general-purpose machinery buys nothing on the hot path.
 //
-// The encoding/xml implementation is retained in legacy.go as the
-// behavioural oracle: the fast encoder emits byte-identical envelopes
-// (enforced by differential tests), and the fast decoder falls back to the
-// tolerant legacy decoder for any document that is not in canonical form —
-// foreign indentation, comments, CDATA, faults, or malformed input — so
-// robustness and error reporting are unchanged.
+// Every envelope — EncodeRequest, EncodeResponse, EncodeFault,
+// EncodeResponseTo and the streaming ResponseEncoder — goes through
+// envelopeWriter. Differential tests hold it byte for byte to an
+// encoding/xml encoder kept in the tests as the oracle. The strict
+// decoder falls back to the tolerant encoding/xml decoder in legacy.go
+// for any document that is not in canonical form — foreign indentation,
+// comments, CDATA, faults, or malformed input — so robustness and error
+// reporting are unchanged.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/xml"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"unicode/utf8"
 )
 
-// envelopeOpen is the canonical envelope start: the exact bytes both
-// encoders emit after the XML prolog.
+// envelopeOpen is the canonical envelope start: the exact bytes the
+// writer emits after the XML prolog.
 const envelopeOpen = `<soapenv:Envelope xmlns:soapenv="` + EnvelopeNS + `" xmlns:ppg="` + ServiceNS + `">`
 
 // bufPool recycles encode scratch buffers across calls; envelopes for
@@ -54,26 +57,12 @@ func PutBuffer(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// stringWriter is the writer contract the streaming encoder needs;
+// stringWriter is the writer contract the envelope writer needs;
 // *bytes.Buffer and *bufio.Writer both satisfy it.
 type stringWriter interface {
 	io.Writer
 	io.StringWriter
 }
-
-// Escape entities, matching encoding/xml's internal table (the short
-// numeric forms for quotes, hex forms for TAB/CR).
-const (
-	escQuot = "&#34;"
-	escApos = "&#39;"
-	escAmp  = "&amp;"
-	escLT   = "&lt;"
-	escGT   = "&gt;"
-	escTab  = "&#x9;"
-	escNL   = "&#xA;"
-	escCR   = "&#xD;"
-	escFFFD = "�"
-)
 
 // writeEscaped writes s with escaping identical to the encoding/xml
 // encoder's (its unexported escapeText): '&', '<', '>', quotes, TAB and CR
@@ -81,51 +70,66 @@ const (
 // U+FFFD, and '\n' is escaped only when escapeNewline is set — the
 // encoding/xml encoder escapes newlines in attribute values but passes
 // them through raw in character data, and the differential tests hold the
-// fast codec to exactly that. The common nothing-to-escape case is a
-// single WriteString.
-func writeEscaped(w stringWriter, s string, escapeNewline bool) error {
+// writer to exactly that. One scan serves strings and byte slices: a
+// non-ASCII rune is decoded from at most utf8.UTFMax bytes, which a byte
+// slice converts on the stack. The common nothing-to-escape case is a
+// single write.
+func writeEscaped[T string | []byte](e *envelopeWriter, s T, escapeNewline bool) {
 	var esc string
 	last := 0
 	for i := 0; i < len(s); {
-		r, width := utf8.DecodeRuneInString(s[i:])
+		r, width := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, width = utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		}
 		i += width
+		// encoding/xml's entity table: short numeric forms for quotes,
+		// hex forms for TAB, newline and CR.
 		switch r {
 		case '"':
-			esc = escQuot
+			esc = "&#34;"
 		case '\'':
-			esc = escApos
+			esc = "&#39;"
 		case '&':
-			esc = escAmp
+			esc = "&amp;"
 		case '<':
-			esc = escLT
+			esc = "&lt;"
 		case '>':
-			esc = escGT
+			esc = "&gt;"
 		case '\t':
-			esc = escTab
+			esc = "&#x9;"
 		case '\n':
 			if !escapeNewline {
 				continue
 			}
-			esc = escNL
+			esc = "&#xA;"
 		case '\r':
-			esc = escCR
+			esc = "&#xD;"
 		default:
 			if !inCharacterRange(r) || (r == utf8.RuneError && width == 1) {
-				esc = escFFFD
+				esc = "�"
 				break
 			}
 			continue
 		}
-		if _, err := w.WriteString(s[last : i-width]); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(esc); err != nil {
-			return err
-		}
+		writeRaw(e, s[last:i-width])
+		e.str(esc)
 		last = i
 	}
-	_, err := w.WriteString(s[last:])
-	return err
+	writeRaw(e, s[last:])
+}
+
+// writeRaw writes a run that needs no escaping, without converting it.
+func writeRaw[T string | []byte](e *envelopeWriter, s T) {
+	if e.err != nil {
+		return
+	}
+	switch s := any(s).(type) {
+	case string:
+		_, e.err = e.w.WriteString(s)
+	case []byte:
+		_, e.err = e.w.Write(s)
+	}
 }
 
 // inCharacterRange mirrors encoding/xml's XML 1.0 Char production check
@@ -139,99 +143,100 @@ func inCharacterRange(r rune) bool {
 		r >= 0x10000 && r <= 0x10FFFF
 }
 
-// encodeEnvelopeTo streams one envelope in canonical form. It mirrors the
-// legacy encoder token for token; differential tests assert byte identity.
-func encodeEnvelopeTo(w stringWriter, headers []HeaderEntry, bodyElem, itemElem string, items []string, fault *Fault) error {
-	if _, err := w.WriteString(xml.Header); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(envelopeOpen); err != nil {
-		return err
-	}
-	if len(headers) > 0 {
-		if _, err := w.WriteString("<soapenv:Header>"); err != nil {
-			return err
-		}
-		for _, h := range headers {
-			if _, err := w.WriteString(`<ppg:entry name="`); err != nil {
-				return err
-			}
-			if err := writeEscaped(w, h.Name, true); err != nil {
-				return err
-			}
-			if _, err := w.WriteString(`">`); err != nil {
-				return err
-			}
-			if err := writeEscaped(w, h.Value, false); err != nil {
-				return err
-			}
-			if _, err := w.WriteString("</ppg:entry>"); err != nil {
-				return err
-			}
-		}
-		if _, err := w.WriteString("</soapenv:Header>"); err != nil {
-			return err
-		}
-	}
-	if _, err := w.WriteString("<soapenv:Body>"); err != nil {
-		return err
-	}
-	if fault != nil {
-		if err := encodeFaultTo(w, fault); err != nil {
-			return err
-		}
-	} else {
-		if _, err := w.WriteString("<ppg:" + bodyElem + ">"); err != nil {
-			return err
-		}
-		for _, it := range items {
-			if _, err := w.WriteString("<ppg:" + itemElem + ">"); err != nil {
-				return err
-			}
-			if err := writeEscaped(w, it, false); err != nil {
-				return err
-			}
-			if _, err := w.WriteString("</ppg:" + itemElem + ">"); err != nil {
-				return err
-			}
-		}
-		if _, err := w.WriteString("</ppg:" + bodyElem + ">"); err != nil {
-			return err
-		}
-	}
-	_, err := w.WriteString("</soapenv:Body></soapenv:Envelope>")
-	return err
+// envelopeWriter is the package's one writer of envelope markup. It
+// writes an envelope in canonical form, in steps: rpc (open the envelope,
+// then the body element) and any number of items, or open and one fault;
+// then close. It mirrors the encoding/xml encoder token for token;
+// differential tests assert byte identity. It keeps the first write
+// error: later steps write nothing, and close returns it.
+type envelopeWriter struct {
+	w                   stringWriter
+	op, suffix          string // the open RPC element is <ppg:op+suffix>; op is "" without one
+	itemOpen, itemClose string
+	err                 error
 }
 
-func encodeFaultTo(w stringWriter, f *Fault) error {
-	if _, err := w.WriteString("<soapenv:Fault><faultcode>soapenv:"); err != nil {
-		return err
+// rpc rejects an invalid operation name before writing a byte, then
+// opens the envelope and the body element: <ppg:op> holding <ppg:param>
+// items for a request, <ppg:opResponse> holding <ppg:return> items for
+// a response.
+func (e *envelopeWriter) rpc(w stringWriter, op string, response bool, headers []HeaderEntry) error {
+	if !operationNameOK(op) {
+		return fmt.Errorf("soap: invalid operation name %q", op)
 	}
-	if err := writeEscaped(w, f.Code, false); err != nil {
-		return err
+	e.open(w, headers)
+	e.op, e.itemOpen, e.itemClose = op, "<ppg:param>", "</ppg:param>"
+	if response {
+		e.suffix, e.itemOpen, e.itemClose = "Response", "<ppg:return>", "</ppg:return>"
 	}
-	if _, err := w.WriteString("</faultcode><faultstring>"); err != nil {
-		return err
+	e.str("<ppg:")
+	e.str(e.op)
+	e.str(e.suffix)
+	e.str(">")
+	return e.err
+}
+
+// open writes the prolog, the envelope start tag, the header entries (a
+// name lands in an attribute, so its newlines are escaped too) and the
+// Body start tag.
+func (e *envelopeWriter) open(w stringWriter, headers []HeaderEntry) {
+	*e = envelopeWriter{w: w}
+	e.str(xml.Header)
+	e.str(envelopeOpen)
+	if len(headers) > 0 {
+		e.str("<soapenv:Header>")
+		for _, h := range headers {
+			e.str(`<ppg:entry name="`)
+			writeEscaped(e, h.Name, true)
+			e.str(`">`)
+			writeEscaped(e, h.Value, false)
+			e.str("</ppg:entry>")
+		}
+		e.str("</soapenv:Header>")
 	}
-	if err := writeEscaped(w, f.String, false); err != nil {
-		return err
-	}
-	if _, err := w.WriteString("</faultstring>"); err != nil {
-		return err
-	}
+	e.str("<soapenv:Body>")
+}
+
+// writeItem writes one item of the open RPC element, from a string or
+// from bytes.
+func writeItem[T string | []byte](e *envelopeWriter, item T) {
+	e.str(e.itemOpen)
+	writeEscaped(e, item, false)
+	e.str(e.itemClose)
+}
+
+// fault writes a Fault element in place of an RPC element.
+func (e *envelopeWriter) fault(f *Fault) {
+	e.str("<soapenv:Fault><faultcode>soapenv:")
+	writeEscaped(e, f.Code, false)
+	e.str("</faultcode><faultstring>")
+	writeEscaped(e, f.String, false)
+	e.str("</faultstring>")
 	if f.Detail != "" {
-		if _, err := w.WriteString("<detail>"); err != nil {
-			return err
-		}
-		if err := writeEscaped(w, f.Detail, false); err != nil {
-			return err
-		}
-		if _, err := w.WriteString("</detail>"); err != nil {
-			return err
-		}
+		e.str("<detail>")
+		writeEscaped(e, f.Detail, false)
+		e.str("</detail>")
 	}
-	_, err := w.WriteString("</soapenv:Fault>")
-	return err
+	e.str("</soapenv:Fault>")
+}
+
+// close ends the RPC element, if one is open, and the envelope, and
+// returns the first write error.
+func (e *envelopeWriter) close() error {
+	if e.op != "" {
+		e.str("</ppg:")
+		e.str(e.op)
+		e.str(e.suffix)
+		e.str(">")
+	}
+	e.str("</soapenv:Body></soapenv:Envelope>")
+	return e.err
+}
+
+func (e *envelopeWriter) str(s string) {
+	if e.err == nil {
+		_, e.err = e.w.WriteString(s)
+	}
 }
 
 // errNotCanonical makes the fast decoder hand the document to the legacy

@@ -14,15 +14,18 @@
 // The encode/decode work done here is the "marshalling/encoding" half of
 // the architecture-adapter pattern described in the paper's Services Layer,
 // and it was the principal source of the grid-services overhead measured in
-// Table 4 — which is why the wire path does not use reflection: codec.go
-// holds the one hand-rolled streaming encoder and the strict decoder for
-// the fixed envelope shapes. legacy.go keeps the original encoding/xml
-// implementation for two jobs only: its tolerant decoder is the fallback
-// for any envelope the strict decoder declines, and its encoders are the
-// reference the differential tests compare the wire encoder against.
+// Table 4 — which is why the wire path does not use reflection. One
+// envelope writer in codec.go writes every envelope: the byte-slice
+// Encode* functions, EncodeResponseTo and the streaming ResponseEncoder
+// all run through it. codec.go also holds the strict decoder for the
+// fixed envelope shapes; legacy.go holds only the tolerant encoding/xml
+// decoder it falls back to for any envelope it declines. The original
+// encoding/xml encoder lives on in the tests, as the oracle the writer
+// is held to byte for byte.
 package soap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -177,59 +180,52 @@ func operationNameOK(s string) bool {
 
 // EncodeRequest serializes an RPC request envelope.
 func EncodeRequest(op string, headers []HeaderEntry, params []string) ([]byte, error) {
-	if !operationNameOK(op) {
-		return nil, fmt.Errorf("soap: invalid operation name %q", op)
-	}
-	return encodeToBytes(headers, op, "param", params, nil)
+	return encodeRPC(op, false, headers, params)
 }
 
 // EncodeResponse serializes an RPC response envelope for the given
 // operation. The wire element is named <op>Response per SOAP convention.
 func EncodeResponse(op string, headers []HeaderEntry, returns []string) ([]byte, error) {
-	if !operationNameOK(op) {
-		return nil, fmt.Errorf("soap: invalid operation name %q", op)
-	}
-	return encodeToBytes(headers, op+"Response", "return", returns, nil)
+	return encodeRPC(op, true, headers, returns)
 }
 
 // EncodeFault serializes a Fault envelope.
 func EncodeFault(f *Fault) ([]byte, error) {
-	return encodeToBytes(nil, "", "", nil, f)
+	var buf bytes.Buffer
+	var e envelopeWriter
+	e.open(&buf, nil)
+	e.fault(f)
+	e.close() // a bytes.Buffer write never fails
+	return buf.Bytes(), nil
 }
 
-// encodeToBytes runs the streaming encoder into a pooled scratch buffer
-// and returns a right-sized copy the caller owns.
-func encodeToBytes(headers []HeaderEntry, bodyElem, itemElem string, items []string, fault *Fault) ([]byte, error) {
+// EncodeResponseTo streams an RPC response envelope directly to w (the
+// zero-copy path for transports that own a write buffer).
+func EncodeResponseTo(w stringWriter, op string, headers []HeaderEntry, returns []string) error {
+	return writeRPC(w, op, true, headers, returns)
+}
+
+// encodeRPC runs writeRPC into a pooled scratch buffer and returns a
+// right-sized copy the caller owns.
+func encodeRPC(op string, response bool, headers []HeaderEntry, items []string) ([]byte, error) {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
-	if err := encodeEnvelopeTo(buf, headers, bodyElem, itemElem, items, fault); err != nil {
+	if err := writeRPC(buf, op, response, headers, items); err != nil {
 		return nil, err
 	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
+	return CopyEncoded(buf), nil
 }
 
-// EncodeRequestTo streams an RPC request envelope directly to w (the
-// zero-copy path for transports that own a write buffer).
-func EncodeRequestTo(w stringWriter, op string, headers []HeaderEntry, params []string) error {
-	if !operationNameOK(op) {
-		return fmt.Errorf("soap: invalid operation name %q", op)
+// writeRPC writes a whole request or response envelope to w.
+func writeRPC(w stringWriter, op string, response bool, headers []HeaderEntry, items []string) error {
+	var e envelopeWriter
+	if err := e.rpc(w, op, response, headers); err != nil {
+		return err
 	}
-	return encodeEnvelopeTo(w, headers, op, "param", params, nil)
-}
-
-// EncodeResponseTo streams an RPC response envelope directly to w.
-func EncodeResponseTo(w stringWriter, op string, headers []HeaderEntry, returns []string) error {
-	if !operationNameOK(op) {
-		return fmt.Errorf("soap: invalid operation name %q", op)
+	for _, it := range items {
+		writeItem(&e, it)
 	}
-	return encodeEnvelopeTo(w, headers, op+"Response", "return", returns, nil)
-}
-
-// EncodeFaultTo streams a Fault envelope directly to w.
-func EncodeFaultTo(w stringWriter, f *Fault) error {
-	return encodeEnvelopeTo(w, nil, "", "", nil, f)
+	return e.close()
 }
 
 // decoded is the intermediate result of parsing any envelope.
