@@ -187,19 +187,19 @@ func (m *Manager) ExecutionHandles(ids []string) ([]string, error) {
 func (m *Manager) createOn(r int, group []string, pending map[string]*pendingCreate) {
 	f := m.factories[r]
 	handles, err := f.CreateExecutions(group)
-	if err != nil {
-		handles = nil // the plural call is all-or-nothing
+	if err == nil && len(handles) != len(group) {
+		err = fmt.Errorf("%d handles for %d IDs", len(handles), len(group))
 	}
 
 	m.mu.Lock()
 	for i, id := range group {
 		p := pending[id]
-		if i < len(handles) {
+		if err != nil {
+			p.err = fmt.Errorf("core: create execution %q on %s: %w", id, f.Host(), err)
+		} else {
 			p.gsh = handles[i]
 			m.cache[id] = handles[i]
 			m.perHost[f.Host()]++
-		} else {
-			p.err = fmt.Errorf("core: create execution %q on %s: %w", id, f.Host(), err)
 		}
 		delete(m.inflight, id)
 	}

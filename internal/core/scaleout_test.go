@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"pperfgrid/internal/container"
 	"pperfgrid/internal/datagen"
 	"pperfgrid/internal/gsh"
 	"pperfgrid/internal/mapping"
@@ -202,8 +203,10 @@ func (r perIDRef) CreateExecutions(ids []string) ([]string, error) {
 }
 
 // TestManagerBatchedMatchesPerIDOracle differentially tests the batched
-// path against the per-ID oracle over remote factories: same IDs, same
-// replica for every ID, and same placement counts.
+// path against the per-ID oracle over remote factories: every handle is
+// an instance of the execution ID it was asked for (read back from the
+// instance's executionID service data), on the same replica as the
+// oracle's, with the same placement counts.
 func TestManagerBatchedMatchesPerIDOracle(t *testing.T) {
 	const replicas = 3
 	d := datagen.HPL(datagen.HPLConfig{Executions: 25, Seed: 34})
@@ -239,11 +242,18 @@ func TestManagerBatchedMatchesPerIDOracle(t *testing.T) {
 		}
 		hosts := make([]string, len(hs))
 		for i, h := range hs {
-			g, err := gsh.Parse(h)
+			stub, err := container.DialString(h)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hosts[i] = g.Host
+			got, err := stub.Call(ogsi.OpFindServiceData, "executionID")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0] != ids[i] {
+				t.Errorf("batched=%v: handle %d (%s) is an instance of %v, want %q", batched, i, h, got, ids[i])
+			}
+			hosts[i] = stub.Handle().Host
 		}
 		return hosts, m.PerHostCounts()
 	}

@@ -25,7 +25,6 @@
 package soap
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -191,12 +190,13 @@ func EncodeResponse(op string, headers []HeaderEntry, returns []string) ([]byte,
 
 // EncodeFault serializes a Fault envelope.
 func EncodeFault(f *Fault) ([]byte, error) {
-	var buf bytes.Buffer
+	buf := GetBuffer()
+	defer PutBuffer(buf)
 	var e envelopeWriter
-	e.open(&buf, nil)
+	e.open(buf, nil)
 	e.fault(f)
 	e.close() // a bytes.Buffer write never fails
-	return buf.Bytes(), nil
+	return CopyEncoded(buf), nil
 }
 
 // EncodeResponseTo streams an RPC response envelope directly to w (the
