@@ -299,8 +299,8 @@ func TestLifetimeExpiryUnderClient(t *testing.T) {
 		t.Fatalf("expired instance: want fault, got %v", err)
 	}
 
-	// The Manager still holds the stale GSH; Forget + re-query yields a
-	// fresh live instance.
+	// The destroy already dropped the stale GSH from the Manager (Forget
+	// again is a no-op); a re-query yields a fresh live instance.
 	info := staleExecID(t, exec.Handle)
 	site.Manager().Forget(info)
 	execs2, err := b.QueryExecutions(nil)

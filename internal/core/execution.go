@@ -32,7 +32,8 @@ var encScratchPool = sync.Pool{New: func() any {
 // instance's cache (section 5.3.2.3) when one is configured.
 type ExecutionService struct {
 	id      string
-	wrapper mapping.ExecutionWrapper
+	wrapper mapping.ExecutionWrapper // this instance's replica, for reads
+	group   *execGroup               // the execution's replicas and live instances; every publish goes through it
 
 	// cache is the instance's Performance Results cache, set once at
 	// construction and never replaced; nil disables caching.
@@ -56,8 +57,9 @@ type ExecutionService struct {
 	// pre-write keys.
 	epoch atomic.Int64
 
-	// publishes counts successful PublishResults calls; invalidated
-	// accumulates the cache entries purged by them and by NotifyUpdate.
+	// publishes counts the execution's publishes that wrote a store since
+	// this instance joined its group; invalidated accumulates the cache
+	// entries purged by them and by NotifyUpdate.
 	// Both feed service data, and tests pin exact per-instance
 	// invalidation counts.
 	publishes   atomic.Int64
@@ -154,8 +156,11 @@ const OpGetPRAsync = "getPRAsync"
 // NewExecutionService builds an Execution service over a mapping-layer
 // wrapper. cache may be nil to disable Performance Result caching; hub may
 // be nil to disable update notifications.
+// Its publishes write w alone, through a private one-replica group.
 func NewExecutionService(id string, w mapping.ExecutionWrapper, cache *Cache, hub *ogsi.NotificationHub) *ExecutionService {
-	return &ExecutionService{id: id, wrapper: w, cache: cache, hub: hub}
+	g := &execGroup{id: id, replicas: []mapping.ExecutionWrapper{w}}
+	e, _ := g.join(0, cache, hub) // replica 0 is already open, so join cannot fail
+	return e
 }
 
 // SetSinkDialer enables the getPRAsync callback model by providing the
@@ -862,43 +867,32 @@ func (e *ExecutionService) NotifyUpdate(message string) {
 	}
 }
 
-// OnDestroy implements ogsi.Destroyer: live cursor state is released and
-// in-flight asynchronous deliveries are flushed, so a drained container
-// leaves no paged-query memory or background goroutines behind.
+// OnDestroy implements ogsi.Destroyer (a client Destroy or the lifetime
+// sweep): the instance leaves its execution's group, live cursor state is
+// released, and in-flight asynchronous deliveries are flushed, so a
+// drained container leaves no paged-query memory or background goroutines
+// behind.
 func (e *ExecutionService) OnDestroy() {
+	e.group.leave(e)
 	e.cursorMu.Lock()
 	e.cursors, e.cursorIDs, e.cursorBytes = nil, nil, 0
 	e.cursorMu.Unlock()
 	e.FlushAsync()
 }
 
-// PublishResults ingests Performance Results into the execution's data
-// store — the live write path (publishPR on the wire). The wrapper must
-// implement mapping.ResultWriter; read-only stores report
-// mapping.ErrNotWritable. On success the write is immediately visible: a
-// getPR issued after PublishResults returns can never be served a
-// pre-write cached envelope (see noteWrite for the sequence).
-func (e *ExecutionService) PublishResults(rs []perfdata.Result) error {
-	w, ok := e.wrapper.(mapping.ResultWriter)
-	if !ok {
-		return fmt.Errorf("core: execution %s: %w", e.id, mapping.ErrNotWritable)
-	}
-	if len(rs) == 0 {
-		return nil
-	}
-	if err := w.PublishResults(rs); err != nil {
-		return err
-	}
-	e.noteWrite(fmt.Sprintf("published %d results", len(rs)))
-	return nil
-}
+// PublishResults ingests Performance Results into every replica of the
+// execution's data store — publishPR on the wire — through its group's
+// one write path. Read-only stores report mapping.ErrNotWritable. On
+// success a getPR through any instance can never be served a pre-write
+// cached envelope (see noteWrite for the sequence).
+func (e *ExecutionService) PublishResults(rs []perfdata.Result) error { return e.group.publish(rs) }
 
-// noteWrite applies the write-visibility sequence after a successful
-// store mutation: retire the cached data, then notify subscribers on
-// UpdatesTopic. Unlike NotifyUpdate (an external whole-store reload),
-// noteWrite leaves live paging cursors alone: a cursor pages a
-// point-in-time snapshot slice, which the Cache sharing contract already
-// guarantees is never mutated.
+// noteWrite applies the write-visibility sequence after a publish wrote
+// the execution's stores (execGroup.publish calls it): retire the cached
+// data, then notify subscribers on UpdatesTopic. Unlike NotifyUpdate (an
+// external whole-store reload), noteWrite leaves live paging cursors
+// alone: a cursor pages a point-in-time snapshot slice, which the Cache
+// sharing contract already guarantees is never mutated.
 func (e *ExecutionService) noteWrite(message string) {
 	e.publishes.Add(1)
 	e.retire()
@@ -931,7 +925,8 @@ func (e *ExecutionService) retire() {
 // instance.
 func (e *ExecutionService) Epoch() int64 { return e.epoch.Load() }
 
-// Publishes reports how many PublishResults calls have mutated the store.
+// Publishes reports how many of the execution's publishes have written a
+// store since this instance was created.
 func (e *ExecutionService) Publishes() int64 { return e.publishes.Load() }
 
 // Invalidations reports the cumulative number of cache entries purged by

@@ -227,8 +227,10 @@ func (m *Manager) PerHostCounts() map[string]int {
 	return out
 }
 
-// Forget drops one cached instance handle, e.g. after its instance is
-// destroyed by lifetime management.
+// Forget drops one cached instance handle, so the next request for the
+// execution creates a fresh instance. A Site calls it whenever an
+// instance of the execution is destroyed, by a client Destroy or by
+// lifetime management.
 func (m *Manager) Forget(execID string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -56,8 +57,8 @@ type Site struct {
 
 	appFactory *ogsi.Instance
 
-	mu        sync.Mutex
-	instances map[string][]*ExecutionService // execID -> live services (one per replica that created it)
+	mu     sync.Mutex
+	groups map[string]*execGroup // execID -> its replica group, kept for the site's life
 }
 
 // StartSite stands up the site's containers, deploys an Execution factory
@@ -70,10 +71,10 @@ func StartSite(cfg SiteConfig) (*Site, error) {
 	if cfg.AppName == "" {
 		return nil, fmt.Errorf("core: site has no application name")
 	}
-	s := &Site{cfg: cfg, instances: make(map[string][]*ExecutionService)}
+	s := &Site{cfg: cfg, groups: make(map[string]*execGroup)}
 
 	var refs []ExecutionFactoryRef
-	for i, w := range cfg.Wrappers {
+	for i := range cfg.Wrappers {
 		hosting := ogsi.NewHosting("pending:0")
 		cont := container.New(hosting, container.Options{
 			Workers:      cfg.Workers,
@@ -91,7 +92,7 @@ func StartSite(cfg SiteConfig) (*Site, error) {
 		}
 		s.containers = append(s.containers, cont)
 
-		execFactory := ogsi.NewFactory(hosting, ExecutionType, ExecutionDefinition(), s.executionConstructor(w))
+		execFactory := ogsi.NewFactory(hosting, ExecutionType, ExecutionDefinition(), s.executionConstructor(i))
 		if _, err := execFactory.Deploy(); err != nil {
 			s.Close()
 			return nil, err
@@ -108,7 +109,9 @@ func StartSite(cfg SiteConfig) (*Site, error) {
 		s.Close()
 		return nil, err
 	}
+	s.mu.Lock()
 	s.manager = manager
+	s.mu.Unlock()
 	primary := s.containers[0].Hosting()
 	if _, err := primary.DeployPersistent(ManagerType, manager, ManagerDefinition()); err != nil {
 		s.Close()
@@ -128,18 +131,14 @@ func StartSite(cfg SiteConfig) (*Site, error) {
 	return s, nil
 }
 
-// executionConstructor builds the Execution factory constructor for one
-// replica's wrapper. Each instance gets its own Performance Results cache,
-// per section 5.3.2.3.
-func (s *Site) executionConstructor(w mapping.ApplicationWrapper) ogsi.Constructor {
+// executionConstructor builds the Execution factory constructor for
+// replica r. Each instance reads through replica r and joins its
+// execution's group; it gets its own Performance Results cache, per
+// section 5.3.2.3.
+func (s *Site) executionConstructor(r int) ogsi.Constructor {
 	return func(params []string) (ogsi.Service, *wsdl.Definition, error) {
 		if len(params) != 1 || params[0] == "" {
 			return nil, nil, fmt.Errorf("core: Execution factory requires [executionID], got %v", params)
-		}
-		id := params[0]
-		ew, err := w.ExecutionWrapper(id)
-		if err != nil {
-			return nil, nil, err
 		}
 		var cache *Cache
 		if !s.cfg.CachingOff {
@@ -149,11 +148,11 @@ func (s *Site) executionConstructor(w mapping.ApplicationWrapper) ogsi.Construct
 		if s.cfg.Notifications {
 			hub = ogsi.NewNotificationHub(container.SOAPSinkDialer())
 		}
-		svc := NewExecutionService(id, ew, cache, hub)
+		svc, err := s.group(params[0]).join(r, cache, hub)
+		if err != nil {
+			return nil, nil, err
+		}
 		svc.SetSinkDialer(container.SOAPSinkDialer())
-		s.mu.Lock()
-		s.instances[id] = append(s.instances[id], svc)
-		s.mu.Unlock()
 		def := ExecutionDefinition()
 		if s.cfg.Notifications {
 			def = def.Merge(ogsi.NotificationSourcePortType())
@@ -218,14 +217,30 @@ func (s *Site) Containers() []*container.Container { return s.containers }
 // Services Layer.
 func (s *Site) LocalWrapper() mapping.ApplicationWrapper { return s.cfg.Wrappers[0] }
 
-// ExecutionServices returns the live Execution service implementations
-// created for an execution ID (one per replica host that instantiated it).
-func (s *Site) ExecutionServices(execID string) []*ExecutionService {
+// group returns an execution's replica group, creating it on first use.
+func (s *Site) group(execID string) *execGroup {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*ExecutionService, len(s.instances[execID]))
-	copy(out, s.instances[execID])
-	return out
+	g := s.groups[execID]
+	if g == nil {
+		g = &execGroup{id: execID, site: s, replicas: make([]mapping.ExecutionWrapper, len(s.cfg.Wrappers))}
+		s.groups[execID] = g
+	}
+	return g
+}
+
+// ExecutionServices returns the live (not destroyed) Execution service
+// implementations of an execution ID, on any replica host.
+func (s *Site) ExecutionServices(execID string) []*ExecutionService {
+	s.mu.Lock()
+	g := s.groups[execID]
+	s.mu.Unlock()
+	if g == nil {
+		return nil
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Clone(g.live)
 }
 
 // NotifyUpdate announces a data-store update for one execution to every
@@ -238,40 +253,102 @@ func (s *Site) NotifyUpdate(execID, message string) {
 }
 
 // PublishResults ingests Performance Results for one execution across the
-// whole site: each replica wraps its own copy of the data store, so the
-// write lands on every replica's wrapper (or replicas would diverge), and
-// every live Execution instance for the ID then applies its
-// write-visibility sequence (epoch bump, cache purge, subscriber
-// notification). A publish that fails part way still runs that sequence
-// once any replica has been written to — a failed wrapper call may also
-// have applied part of the batch — so no instance serves its pre-write
-// answer over post-write data; the error is still returned. A publishPR
-// call on a single instance, by contrast, writes only that replica's
-// store — single-replica sites (the common test topology) can use either
-// path interchangeably.
+// whole site, through the same write path as publishPR on any of the
+// execution's instances (see execGroup.publish).
 func (s *Site) PublishResults(execID string, rs []perfdata.Result) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	written := false
-	defer func() {
-		if written {
-			for _, svc := range s.ExecutionServices(execID) {
-				svc.noteWrite(fmt.Sprintf("published %d results", len(rs)))
-			}
+	return s.group(execID).publish(rs)
+}
+
+// execGroup is one execution's replica group and its one write path:
+// every publish to the execution, from publishPR on any of its instances
+// or from Site.PublishResults, runs through publish. An ExecutionService
+// built outside a site gets a private one-replica group.
+type execGroup struct {
+	id   string
+	site *Site // opens the replicas and forgets destroyed instances; nil for a private group
+
+	// mu orders the execution's publishes, so every replica applies them
+	// in the same order, and guards the fields below.
+	mu       sync.Mutex
+	replicas []mapping.ExecutionWrapper // replica r's wrapper, opened once on first use
+	live     []*ExecutionService        // live instances on any replica
+}
+
+// replicaLocked returns replica r's wrapper, opening it on first use (a
+// private group's one replica is open from the start).
+func (g *execGroup) replicaLocked(r int) (mapping.ExecutionWrapper, error) {
+	if g.replicas[r] == nil {
+		ew, err := g.site.cfg.Wrappers[r].ExecutionWrapper(g.id)
+		if err != nil {
+			return nil, err
 		}
-	}()
-	for _, w := range s.cfg.Wrappers {
-		ew, err := w.ExecutionWrapper(execID)
+		g.replicas[r] = ew
+	}
+	return g.replicas[r], nil
+}
+
+// join builds a live instance that reads through replica r.
+func (g *execGroup) join(r int, cache *Cache, hub *ogsi.NotificationHub) (*ExecutionService, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ew, err := g.replicaLocked(r)
+	if err != nil {
+		return nil, err
+	}
+	e := &ExecutionService{id: g.id, wrapper: ew, cache: cache, hub: hub, group: g}
+	g.live = append(g.live, e)
+	return e, nil
+}
+
+// leave drops a destroyed instance, releasing its cache, and makes the
+// site's Manager forget the execution's handle so the next request
+// creates a fresh instance instead of handing out a dead one.
+func (g *execGroup) leave(e *ExecutionService) {
+	g.mu.Lock()
+	g.live = slices.DeleteFunc(g.live, func(x *ExecutionService) bool { return x == e })
+	g.mu.Unlock()
+	if g.site != nil {
+		g.site.mu.Lock()
+		m := g.site.manager // nil while the site starts
+		g.site.mu.Unlock()
+		if m != nil {
+			m.Forget(g.id)
+		}
+	}
+}
+
+// publish writes rs to every replica in order, the only code that writes
+// a store, once every replica is known writable, and then applies
+// noteWrite to every live instance. That also happens when a replica
+// fails after the first write started (a failed call may have applied
+// part of the batch), so no instance serves its pre-write answer over
+// post-write data; the error is still returned.
+func (g *execGroup) publish(rs []perfdata.Result) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ws := make([]mapping.ResultWriter, len(g.replicas))
+	for r := range ws {
+		ew, err := g.replicaLocked(r)
 		if err != nil {
 			return err
 		}
-		rw, ok := ew.(mapping.ResultWriter)
+		w, ok := ew.(mapping.ResultWriter)
 		if !ok {
-			return fmt.Errorf("core: site %s execution %s: %w", s.cfg.AppName, execID, mapping.ErrNotWritable)
+			return fmt.Errorf("core: execution %s: %w", g.id, mapping.ErrNotWritable)
 		}
-		written = true
-		if err := rw.PublishResults(rs); err != nil {
+		ws[r] = w
+	}
+	if len(rs) == 0 {
+		return nil
+	}
+	msg := fmt.Sprintf("published %d results", len(rs))
+	defer func() {
+		for _, e := range g.live {
+			e.noteWrite(msg)
+		}
+	}()
+	for _, w := range ws {
+		if err := w.PublishResults(rs); err != nil {
 			return err
 		}
 	}

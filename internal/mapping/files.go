@@ -2,7 +2,6 @@ package mapping
 
 import (
 	"fmt"
-	"sort"
 
 	"pperfgrid/internal/flatfile"
 	"pperfgrid/internal/perfdata"
@@ -20,44 +19,28 @@ type FlatFileWrapper struct {
 
 // AppInfo implements ApplicationWrapper.
 func (w *FlatFileWrapper) AppInfo() ([]perfdata.KV, error) {
-	meta := w.Store.Meta()
-	out := make([]perfdata.KV, 0, len(meta)+1)
-	out = append(out, perfdata.KV{Name: "name", Value: w.Store.Name()})
-	for _, kv := range meta {
-		if kv.Name == "name" {
-			continue
-		}
-		out = append(out, kv)
-	}
-	return out, nil
+	return fileAppInfo(w.Store.Name(), w.Store.Meta()), nil
 }
 
 // NumExecs implements ApplicationWrapper.
 func (w *FlatFileWrapper) NumExecs() (int, error) { return w.Store.NumExecs(), nil }
 
-// ExecQueryParams implements ApplicationWrapper by parsing every execution
-// header.
-func (w *FlatFileWrapper) ExecQueryParams() ([]perfdata.Attribute, error) {
-	byName := map[string][]string{}
+// attrs walks the executions' attributes, parsing every execution header.
+func (w *FlatFileWrapper) attrs(visit func(id string, attrs map[string]string)) error {
 	for _, id := range w.Store.ExecIDs() {
 		e, err := w.Store.ExecutionHeader(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for n, v := range e.Attrs {
-			byName[n] = append(byName[n], v)
-		}
+		visit(id, e.Attrs)
 	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]perfdata.Attribute, len(names))
-	for i, n := range names {
-		out[i] = perfdata.Attribute{Name: n, Values: perfdata.UniqueSorted(byName[n])}
-	}
-	return out, nil
+	return nil
+}
+
+// ExecQueryParams implements ApplicationWrapper by parsing every execution
+// header.
+func (w *FlatFileWrapper) ExecQueryParams() ([]perfdata.Attribute, error) {
+	return execAttrs(w.attrs).queryParams()
 }
 
 // AllExecIDs implements ApplicationWrapper.
@@ -65,17 +48,7 @@ func (w *FlatFileWrapper) AllExecIDs() ([]string, error) { return w.Store.ExecID
 
 // ExecIDs implements ApplicationWrapper.
 func (w *FlatFileWrapper) ExecIDs(attr, value string) ([]string, error) {
-	var out []string
-	for _, id := range w.Store.ExecIDs() {
-		e, err := w.Store.ExecutionHeader(id)
-		if err != nil {
-			return nil, err
-		}
-		if v, ok := e.Attrs[attr]; ok && v == value {
-			out = append(out, id)
-		}
-	}
-	return out, nil
+	return execAttrs(w.attrs).matching(attr, value)
 }
 
 // ExecutionWrapper implements ApplicationWrapper.
@@ -84,28 +57,30 @@ func (w *FlatFileWrapper) ExecutionWrapper(id string) (ExecutionWrapper, error) 
 	if _, err := w.Store.ExecutionHeader(id); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchExecution, err)
 	}
-	return &flatExec{store: w.Store, id: id}, nil
+	return &flatExec{
+		snapshotExec: func() (*memoryExec, error) {
+			fe, err := w.Store.Execution(id)
+			if err != nil {
+				return nil, err
+			}
+			return &memoryExec{id: fe.ID, attrs: fe.Attrs, time: fe.Time, results: fe.Results}, nil
+		},
+		store: w.Store,
+		id:    id,
+	}, nil
 }
 
+// flatExec answers Foci, Metrics and Types from a full parse; Info and
+// TimeStartEnd parse only the header, and getPR filters records during
+// the store's byte-level re-parse.
 type flatExec struct {
+	snapshotExec
 	store *flatfile.Store
 	id    string
 }
 
-func (e *flatExec) header() (*flatfile.Execution, error) {
-	return e.store.ExecutionHeader(e.id)
-}
-
-func (e *flatExec) full() (*memoryExec, error) {
-	fe, err := e.store.Execution(e.id)
-	if err != nil {
-		return nil, err
-	}
-	return &memoryExec{id: fe.ID, attrs: fe.Attrs, time: fe.Time, results: fe.Results}, nil
-}
-
 func (e *flatExec) Info() ([]perfdata.KV, error) {
-	h, err := e.header()
+	h, err := e.store.ExecutionHeader(e.id)
 	if err != nil {
 		return nil, err
 	}
@@ -113,32 +88,8 @@ func (e *flatExec) Info() ([]perfdata.KV, error) {
 	return ex.Info(), nil
 }
 
-func (e *flatExec) Foci() ([]string, error) {
-	m, err := e.full()
-	if err != nil {
-		return nil, err
-	}
-	return m.Foci()
-}
-
-func (e *flatExec) Metrics() ([]string, error) {
-	m, err := e.full()
-	if err != nil {
-		return nil, err
-	}
-	return m.Metrics()
-}
-
-func (e *flatExec) Types() ([]string, error) {
-	m, err := e.full()
-	if err != nil {
-		return nil, err
-	}
-	return m.Types()
-}
-
 func (e *flatExec) TimeStartEnd() (perfdata.TimeRange, error) {
-	h, err := e.header()
+	h, err := e.store.ExecutionHeader(e.id)
 	if err != nil {
 		return perfdata.TimeRange{}, err
 	}
@@ -172,43 +123,27 @@ type XMLWrapper struct {
 
 // AppInfo implements ApplicationWrapper.
 func (w *XMLWrapper) AppInfo() ([]perfdata.KV, error) {
-	meta := w.Store.Meta()
-	out := make([]perfdata.KV, 0, len(meta)+1)
-	out = append(out, perfdata.KV{Name: "name", Value: w.Store.Name()})
-	for _, kv := range meta {
-		if kv.Name == "name" {
-			continue
-		}
-		out = append(out, kv)
-	}
-	return out, nil
+	return fileAppInfo(w.Store.Name(), w.Store.Meta()), nil
 }
 
 // NumExecs implements ApplicationWrapper.
 func (w *XMLWrapper) NumExecs() (int, error) { return w.Store.NumExecs(), nil }
 
-// ExecQueryParams implements ApplicationWrapper.
-func (w *XMLWrapper) ExecQueryParams() ([]perfdata.Attribute, error) {
-	byName := map[string][]string{}
+// attrs walks the executions' attributes, decoding every execution.
+func (w *XMLWrapper) attrs(visit func(id string, attrs map[string]string)) error {
 	for _, id := range w.Store.ExecIDs() {
 		e, err := w.Store.Execution(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for n, v := range e.Attrs {
-			byName[n] = append(byName[n], v)
-		}
+		visit(id, e.Attrs)
 	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]perfdata.Attribute, len(names))
-	for i, n := range names {
-		out[i] = perfdata.Attribute{Name: n, Values: perfdata.UniqueSorted(byName[n])}
-	}
-	return out, nil
+	return nil
+}
+
+// ExecQueryParams implements ApplicationWrapper.
+func (w *XMLWrapper) ExecQueryParams() ([]perfdata.Attribute, error) {
+	return execAttrs(w.attrs).queryParams()
 }
 
 // AllExecIDs implements ApplicationWrapper.
@@ -216,90 +151,33 @@ func (w *XMLWrapper) AllExecIDs() ([]string, error) { return w.Store.ExecIDs(), 
 
 // ExecIDs implements ApplicationWrapper.
 func (w *XMLWrapper) ExecIDs(attr, value string) ([]string, error) {
-	var out []string
-	for _, id := range w.Store.ExecIDs() {
-		e, err := w.Store.Execution(id)
-		if err != nil {
-			return nil, err
-		}
-		if v, ok := e.Attrs[attr]; ok && v == value {
-			out = append(out, id)
-		}
-	}
-	return out, nil
+	return execAttrs(w.attrs).matching(attr, value)
 }
 
-// ExecutionWrapper implements ApplicationWrapper.
+// ExecutionWrapper implements ApplicationWrapper. Every operation
+// re-decodes the document, and getPR filters the decoded results.
 func (w *XMLWrapper) ExecutionWrapper(id string) (ExecutionWrapper, error) {
 	if _, err := w.Store.Execution(id); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchExecution, err)
 	}
-	return &xmlExec{store: w.Store, id: id}, nil
+	return snapshotExec(func() (*memoryExec, error) {
+		xe, err := w.Store.Execution(id)
+		if err != nil {
+			return nil, err
+		}
+		return &memoryExec{id: xe.ID, attrs: xe.Attrs, time: xe.Time, results: xe.Results}, nil
+	}), nil
 }
 
-type xmlExec struct {
-	store *xmlstore.Store
-	id    string
-}
-
-func (e *xmlExec) full() (*memoryExec, error) {
-	xe, err := e.store.Execution(e.id)
-	if err != nil {
-		return nil, err
+// fileAppInfo is AppInfo for a file-backed store: the application name
+// first, then the store's metadata minus any duplicate name.
+func fileAppInfo(name string, meta []perfdata.KV) []perfdata.KV {
+	out := make([]perfdata.KV, 0, len(meta)+1)
+	out = append(out, perfdata.KV{Name: "name", Value: name})
+	for _, kv := range meta {
+		if kv.Name != "name" {
+			out = append(out, kv)
+		}
 	}
-	return &memoryExec{id: xe.ID, attrs: xe.Attrs, time: xe.Time, results: xe.Results}, nil
-}
-
-func (e *xmlExec) Info() ([]perfdata.KV, error) {
-	m, err := e.full()
-	if err != nil {
-		return nil, err
-	}
-	return m.Info()
-}
-
-func (e *xmlExec) Foci() ([]string, error) {
-	m, err := e.full()
-	if err != nil {
-		return nil, err
-	}
-	return m.Foci()
-}
-
-func (e *xmlExec) Metrics() ([]string, error) {
-	m, err := e.full()
-	if err != nil {
-		return nil, err
-	}
-	return m.Metrics()
-}
-
-func (e *xmlExec) Types() ([]string, error) {
-	m, err := e.full()
-	if err != nil {
-		return nil, err
-	}
-	return m.Types()
-}
-
-func (e *xmlExec) TimeStartEnd() (perfdata.TimeRange, error) {
-	m, err := e.full()
-	if err != nil {
-		return perfdata.TimeRange{}, err
-	}
-	return m.time, nil
-}
-
-func (e *xmlExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	return collect(e, q)
-}
-
-// AppendPerformanceResults implements ResultAppender by filtering the
-// re-decoded document into dst.
-func (e *xmlExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
-	m, err := e.full()
-	if err != nil {
-		return dst, err
-	}
-	return m.AppendPerformanceResults(q, dst)
+	return out
 }

@@ -104,11 +104,12 @@ var ErrNotWritable = errors.New("mapping: store does not support publishing")
 //     each other; the wrapper serializes internally as needed. Results
 //     of a failed call may be partially applied (matching minidb INSERT's
 //     partial-progress semantics) but never torn within one result.
-//   - Invalidation is the caller's job: the Semantic Layer
-//     (core.ExecutionService.PublishResults) bumps its epoch and purges
-//     its caches after the wrapper returns; wrappers only make the store
-//     itself consistent (indexes maintained, ordered indexes re-marked
-//     stale).
+//   - Invalidation is the caller's job: the Semantic Layer's one write
+//     path (the execution's replica group in package core, behind both
+//     publishPR and core.Site.PublishResults) writes every replica's
+//     wrapper and then bumps the epoch and purges the cache of every
+//     live instance; wrappers only make the store itself consistent
+//     (indexes maintained, ordered indexes re-marked stale).
 type ResultWriter interface {
 	PublishResults(rs []perfdata.Result) error
 }
@@ -320,6 +321,84 @@ func (e *memoryExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.R
 	return dst, nil
 }
 
+// snapshotExec is an execution wrapper that answers every operation from
+// a freshly loaded snapshot: the XML wrapper and Memory use it as is, and
+// the flat-file wrapper overrides the operations its store answers more
+// cheaply.
+type snapshotExec func() (*memoryExec, error)
+
+// viaSnapshot loads a snapshot and runs one operation on it.
+func viaSnapshot[T any](load snapshotExec, op func(*memoryExec) (T, error)) (T, error) {
+	m, err := load()
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return op(m)
+}
+
+func (load snapshotExec) Info() ([]perfdata.KV, error) { return viaSnapshot(load, (*memoryExec).Info) }
+func (load snapshotExec) Foci() ([]string, error)      { return viaSnapshot(load, (*memoryExec).Foci) }
+func (load snapshotExec) Metrics() ([]string, error)   { return viaSnapshot(load, (*memoryExec).Metrics) }
+func (load snapshotExec) Types() ([]string, error)     { return viaSnapshot(load, (*memoryExec).Types) }
+func (load snapshotExec) TimeStartEnd() (perfdata.TimeRange, error) {
+	return viaSnapshot(load, (*memoryExec).TimeStartEnd)
+}
+func (load snapshotExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
+	return collect(load, q)
+}
+func (load snapshotExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
+	m, err := load()
+	if err != nil {
+		return dst, err
+	}
+	return m.AppendPerformanceResults(q, dst)
+}
+
+// execAttrs walks a store's executions in order, handing each one's ID
+// and attributes to visit: the one loop behind every wrapper's
+// ExecQueryParams and ExecIDs outside the relational stores.
+type execAttrs func(visit func(id string, attrs map[string]string)) error
+
+// queryParams implements ExecQueryParams: every attribute name, sorted,
+// with its unique values.
+func (each execAttrs) queryParams() ([]perfdata.Attribute, error) {
+	byName := map[string][]string{}
+	err := each(func(_ string, attrs map[string]string) {
+		for n, v := range attrs {
+			byName[n] = append(byName[n], v)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, 0, len(byName))
+	for n := range byName {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	out := make([]perfdata.Attribute, len(names))
+	for i, n := range names {
+		out[i] = perfdata.Attribute{Name: n, Values: perfdata.UniqueSorted(byName[n])}
+	}
+	return out, nil
+}
+
+// matching implements ExecIDs: the IDs of executions whose attr equals
+// value, in store order.
+func (each execAttrs) matching(attr, value string) ([]string, error) {
+	var out []string
+	err := each(func(id string, attrs map[string]string) {
+		if v, ok := attrs[attr]; ok && v == value {
+			out = append(out, id)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // Memory is the in-memory reference wrapper: the simplest correct
 // implementation of the mapping contract, used as a behavioural oracle in
 // cross-wrapper tests and for small ad-hoc datasets.
@@ -354,24 +433,17 @@ func (m *Memory) AppInfo() ([]perfdata.KV, error) {
 // NumExecs implements ApplicationWrapper.
 func (m *Memory) NumExecs() (int, error) { return len(m.Execs), nil }
 
+// attrs walks the executions' attributes.
+func (m *Memory) attrs(visit func(id string, attrs map[string]string)) error {
+	for _, e := range m.Execs {
+		visit(e.ID, e.Attrs)
+	}
+	return nil
+}
+
 // ExecQueryParams implements ApplicationWrapper.
 func (m *Memory) ExecQueryParams() ([]perfdata.Attribute, error) {
-	byName := map[string][]string{}
-	for _, e := range m.Execs {
-		for n, v := range e.Attrs {
-			byName[n] = append(byName[n], v)
-		}
-	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]perfdata.Attribute, len(names))
-	for i, n := range names {
-		out[i] = perfdata.Attribute{Name: n, Values: perfdata.UniqueSorted(byName[n])}
-	}
-	return out, nil
+	return execAttrs(m.attrs).queryParams()
 }
 
 // AllExecIDs implements ApplicationWrapper.
@@ -385,13 +457,7 @@ func (m *Memory) AllExecIDs() ([]string, error) {
 
 // ExecIDs implements ApplicationWrapper.
 func (m *Memory) ExecIDs(attr, value string) ([]string, error) {
-	var out []string
-	for _, e := range m.Execs {
-		if v, ok := e.Attrs[attr]; ok && v == value {
-			out = append(out, e.ID)
-		}
-	}
-	return out, nil
+	return execAttrs(m.attrs).matching(attr, value)
 }
 
 // ExecutionWrapper implements ApplicationWrapper. The returned wrapper
@@ -401,46 +467,32 @@ func (m *Memory) ExecIDs(attr, value string) ([]string, error) {
 func (m *Memory) ExecutionWrapper(id string) (ExecutionWrapper, error) {
 	for i := range m.Execs {
 		if m.Execs[i].ID == id {
-			return &liveMemoryExec{m: m, e: &m.Execs[i]}, nil
+			e := &m.Execs[i]
+			return &liveMemoryExec{snapshotExec: func() (*memoryExec, error) {
+				m.mu.RLock()
+				results := e.Results
+				m.mu.RUnlock()
+				return &memoryExec{id: e.ID, attrs: e.Attrs, time: e.Time, results: results}, nil
+			}, m: m, e: e}, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: %q in %s", ErrNoSuchExecution, id, m.Name)
 }
 
-// liveMemoryExec views a MemoryExecution through a pointer, building a
-// fresh snapshot per call.
+// liveMemoryExec views a MemoryExecution through a pointer, snapshotting
+// its results per call.
 type liveMemoryExec struct {
+	snapshotExec
 	m *Memory
 	e *MemoryExecution
 }
 
-func (l *liveMemoryExec) view() *memoryExec {
-	l.m.mu.RLock()
-	results := l.e.Results
-	l.m.mu.RUnlock()
-	return &memoryExec{id: l.e.ID, attrs: l.e.Attrs, time: l.e.Time, results: results}
-}
-
 // PublishResults implements ResultWriter by appending to the live
-// execution. Views snapshotted before the publish keep serving their old
-// length; views opened after it see the new results.
+// execution. Snapshots taken before the publish keep serving their old
+// length; snapshots taken after it see the new results.
 func (l *liveMemoryExec) PublishResults(rs []perfdata.Result) error {
 	l.m.mu.Lock()
 	l.e.Results = append(l.e.Results, rs...)
 	l.m.mu.Unlock()
 	return nil
-}
-
-func (l *liveMemoryExec) Info() ([]perfdata.KV, error) { return l.view().Info() }
-func (l *liveMemoryExec) Foci() ([]string, error)      { return l.view().Foci() }
-func (l *liveMemoryExec) Metrics() ([]string, error)   { return l.view().Metrics() }
-func (l *liveMemoryExec) Types() ([]string, error)     { return l.view().Types() }
-func (l *liveMemoryExec) TimeStartEnd() (perfdata.TimeRange, error) {
-	return l.view().TimeStartEnd()
-}
-func (l *liveMemoryExec) PerformanceResults(q perfdata.Query) ([]perfdata.Result, error) {
-	return collect(l, q)
-}
-func (l *liveMemoryExec) AppendPerformanceResults(q perfdata.Query, dst []perfdata.Result) ([]perfdata.Result, error) {
-	return l.view().AppendPerformanceResults(q, dst)
 }

@@ -5,17 +5,14 @@ import (
 	"sync"
 )
 
-// This file is the vectorized half of the streaming SELECT result API.
-// Row-at-a-time iteration (Rows.Next) materializes one fresh []Value per
-// projected row — on a large fact-table scan that is one heap allocation
-// per row, which the cold getPR path cannot afford. NextBatch instead
-// delivers rows a batch at a time in column-oriented ValueBatches whose
-// backing arrays are pooled and reused across refills, so a warmed scan
-// allocates nothing per row (pinned by TestBatchScanAllocs).
-//
-// The row-at-a-time iterator is retained unchanged as the differential
-// oracle: TestNextBatchMatchesNext proves both deliver the same row
-// stream for the same query.
+// This file holds the one iteration path of the streaming SELECT result
+// API. NextBatch delivers rows a batch at a time in column-oriented
+// ValueBatches whose backing arrays are pooled and reused across refills,
+// so a warmed scan allocates nothing per row (pinned by
+// TestBatchScanAllocs) — the cold getPR path decodes straight out of
+// them. Row-at-a-time iteration (Rows.Next) reads through a one-row
+// batch, and Query drains batches into rows carved from one allocation
+// per batch (pinned by TestQueryAllocsPerRow).
 
 // DefaultBatchSize is the batch row capacity used when NextBatch is
 // called with max <= 0.
@@ -94,6 +91,22 @@ func (b *ValueBatch) truncateRow() {
 	}
 }
 
+// appendRows appends the batch's rows to dst as row slices, all carved
+// from one fresh allocation, so they stay valid after the batch is
+// refilled or released.
+func (b *ValueBatch) appendRows(dst [][]Value) [][]Value {
+	n := len(b.cols)
+	vals := make([]Value, b.rows*n)
+	for i := 0; i < b.rows; i++ {
+		row := vals[i*n : (i+1)*n : (i+1)*n]
+		for c := range b.cols {
+			row[c] = b.cols[c][i]
+		}
+		dst = append(dst, row)
+	}
+	return dst
+}
+
 // rowKeyAt renders the DISTINCT dedup key of row i, byte-identical to
 // rowKey on the equivalent row slice.
 func (b *ValueBatch) rowKeyAt(i int) string {
@@ -108,11 +121,12 @@ func (b *ValueBatch) rowKeyAt(i int) string {
 }
 
 // NextBatch fills b with up to max result rows (DefaultBatchSize when
-// max <= 0) and reports whether it delivered any. The rows delivered
-// across successive calls are exactly those Next would have delivered —
-// same order, same values, same terminal error (check Err after the
-// final false). A Rows should be consumed through either Next or
-// NextBatch, not both.
+// max <= 0) and reports whether it delivered any; check Err after the
+// final false. It is the only code that applies LIMIT, projection and
+// DISTINCT to a result stream, so whatever the batch sizes, successive
+// calls deliver the same rows in the same order with the same terminal
+// error, as Next and Query do. A Rows should be consumed through either
+// Next or NextBatch, not both.
 func (r *Rows) NextBatch(b *ValueBatch, max int) bool {
 	if max <= 0 {
 		max = DefaultBatchSize

@@ -1222,9 +1222,9 @@ func heapSiftDown(h []projRow, i int, less func(a, b *projRow) bool) {
 // A streaming Rows holds the database's read lock until Close (or
 // exhaustion); callers must Close promptly and must not execute write
 // statements on the same database from the same goroutine while
-// iterating. The slice returned by Row is owned by the iterator only
-// until the following Next call for SELECT * queries; projected rows are
-// freshly allocated.
+// iterating. Each row returned by Row is freshly allocated. NextBatch
+// (batch.go) is the one iteration path: Next reads through it one row
+// at a time, and Query drains it a batch at a time.
 type Rows struct {
 	Columns []string
 
@@ -1238,6 +1238,7 @@ type Rows struct {
 	materialized bool
 	matPos       int
 
+	one     *ValueBatch // Next's one-row batch, made on first use
 	cur     []Value
 	emitted int
 	err     error
@@ -1248,61 +1249,14 @@ type Rows struct {
 // Next advances to the next result row, returning false at the end of
 // the stream or on error (check Err).
 func (r *Rows) Next() bool {
-	if r.done || r.err != nil {
+	if r.one == nil {
+		r.one = new(ValueBatch)
+	}
+	if !r.NextBatch(r.one, 1) {
 		return false
 	}
-	if r.limit >= 0 && r.emitted >= r.limit {
-		r.finish()
-		return false
-	}
-	if r.materialized {
-		if r.matPos >= len(r.mat) {
-			r.finish()
-			return false
-		}
-		r.cur = r.mat[r.matPos]
-		r.matPos++
-		r.emitted++
-		return true
-	}
-	for {
-		row, err := r.src.next()
-		if err != nil {
-			r.err = err
-			r.finish()
-			return false
-		}
-		if row == nil {
-			r.finish()
-			return false
-		}
-		var out []Value
-		if r.st.Star {
-			out = row.clone()
-		} else {
-			r.env.row = row
-			out = make([]Value, len(r.st.Items))
-			for i, it := range r.st.Items {
-				v, err := eval(it.Expr, r.env)
-				if err != nil {
-					r.err = err
-					r.finish()
-					return false
-				}
-				out[i] = v
-			}
-		}
-		if r.seen != nil {
-			k := rowKey(out)
-			if r.seen[k] {
-				continue
-			}
-			r.seen[k] = true
-		}
-		r.cur = out
-		r.emitted++
-		return true
-	}
+	r.cur = r.one.appendRows(nil)[0]
+	return true
 }
 
 // Row returns the current row. Valid only after a true Next.
@@ -1327,11 +1281,17 @@ func (r *Rows) finish() {
 // multiple times and after exhaustion.
 func (r *Rows) Close() { r.finish() }
 
-// drain materializes the remaining rows into a ResultSet.
+// drain materializes the remaining rows into a ResultSet, a batch at a
+// time.
 func (r *Rows) drain() (*ResultSet, error) {
 	rs := &ResultSet{Columns: r.Columns}
-	for r.Next() {
-		rs.Rows = append(rs.Rows, r.Row())
+	if r.materialized {
+		rs.Rows = make([][]Value, 0, len(r.mat)-r.matPos)
+	}
+	b := NewBatch()
+	defer b.Release()
+	for r.NextBatch(b, 0) {
+		rs.Rows = b.appendRows(rs.Rows)
 	}
 	if r.err != nil {
 		return nil, r.err
