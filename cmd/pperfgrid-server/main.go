@@ -3,6 +3,14 @@
 // Application and Execution grid services, optionally replicated across
 // in-process hosts and published to a registry.
 //
+// With -registry, the site keeps its registry entry alive by republishing
+// it every third of the registry's 30 s lease, and removes it when it
+// drains. A site that dies without draining drops out of discovery once
+// its lease lapses; restarted, it takes its name back as soon as the old
+// lease has lapsed (until then its publish is refused, logged, and
+// retried). Every host destroys instances whose termination time has
+// passed (SetTerminationTime) within about a second.
+//
 // Usage:
 //
 //	pperfgrid-server -dataset hpl  -store wide -addr 127.0.0.1:9001 \
@@ -102,25 +110,35 @@ func main() {
 	}
 	fmt.Printf("Application factory: %s\n", site.ApplicationFactoryHandle())
 
+	unpublish := func() {}
 	if *regHost != "" {
 		pub := registry.Connect(*regHost)
 		if err := pub.PublishOrganization(registry.Organization{Name: *org, Contact: *contact}); err != nil {
 			log.Fatalf("pperfgrid-server: publish organization: %v", err)
 		}
-		if err := pub.PublishService(registry.ServiceEntry{
+		entry := registry.ServiceEntry{
 			Organization:  *org,
 			Name:          d.Name,
 			Description:   fmt.Sprintf("%s dataset in a %s store (%d executions)", d.Name, *store, len(d.Execs)),
 			FactoryHandle: site.ApplicationFactoryHandle().String(),
-		}); err != nil {
-			log.Fatalf("pperfgrid-server: publish service: %v", err)
 		}
-		fmt.Printf("published as %s/%s in registry %s\n", *org, d.Name, *regHost)
+		ctx, cancel := context.WithCancel(context.Background())
+		unpublished := make(chan error, 1)
+		go func() { unpublished <- pub.KeepPublished(ctx, entry) }()
+		unpublish = func() {
+			cancel()
+			if err := <-unpublished; err != nil {
+				fmt.Printf("unpublish: %v\n", err)
+			}
+		}
+		fmt.Printf("publishing as %s/%s in registry %s\n", *org, d.Name, *regHost)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
+	// Leave the registry first, so no new client discovers a draining site.
+	unpublish()
 	// Graceful drain: stop accepting, shed new work on live connections,
 	// let in-flight requests finish within the drain budget, then close.
 	// A second signal force-closes immediately.

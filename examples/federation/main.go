@@ -186,9 +186,12 @@ func main() {
 	// didn't.
 	fmt.Println("\n--- act two: scatter-gather with injected faults ---")
 
-	transport, names, err := federation.Discover(c, "")
+	transport, names, unbound, err := federation.Discover(c, "")
 	if err != nil {
 		log.Fatal(err)
+	}
+	for _, o := range unbound {
+		fmt.Printf("registered but unreachable: %s — %v\n", o.Site, o.Err)
 	}
 	chaos := federation.NewChaosTransport(transport, 42)
 	engine := federation.New(chaos, federation.Config{PerSiteTimeout: 300 * time.Millisecond})

@@ -20,7 +20,6 @@ import (
 	"pperfgrid/internal/container"
 	"pperfgrid/internal/core"
 	"pperfgrid/internal/datagen"
-	"pperfgrid/internal/gsh"
 	"pperfgrid/internal/mapping"
 	"pperfgrid/internal/ogsi"
 	"pperfgrid/internal/perfdata"
@@ -257,8 +256,10 @@ func TestSiteFailureSurfacesToClient(t *testing.T) {
 }
 
 // TestLifetimeExpiryUnderClient exercises OGSI soft-state lifetime end to
-// end: a client sets a short termination time, the sweeper destroys the
-// instance, subsequent calls fault, and the Manager can re-create it.
+// end: a client sets a short termination time, the site's own sweeper
+// destroys the instance (the test starts none), subsequent calls fault,
+// and a re-query through the Manager yields a fresh instance that answers
+// getPR.
 func TestLifetimeExpiryUnderClient(t *testing.T) {
 	w, err := mapping.NewWideTable(datagen.HPL(datagen.HPLConfig{Executions: 2, Seed: 75}))
 	if err != nil {
@@ -269,9 +270,6 @@ func TestLifetimeExpiryUnderClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(site.Close)
-	hosting := site.Containers()[0].Hosting()
-	stopSweeper := hosting.StartSweeper(5 * time.Millisecond)
-	defer stopSweeper()
 
 	c := client.NewWithoutRegistry()
 	b, err := c.BindFactory("HPL", site.ApplicationFactoryHandle())
@@ -286,7 +284,7 @@ func TestLifetimeExpiryUnderClient(t *testing.T) {
 	if _, err := exec.Call(ogsi.OpSetTerminationTime, "+0.01"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if _, err := exec.Metrics(); err != nil {
 			break
@@ -299,35 +297,23 @@ func TestLifetimeExpiryUnderClient(t *testing.T) {
 		t.Fatalf("expired instance: want fault, got %v", err)
 	}
 
-	// The destroy already dropped the stale GSH from the Manager (Forget
-	// again is a no-op); a re-query yields a fresh live instance.
-	info := staleExecID(t, exec.Handle)
-	site.Manager().Forget(info)
+	// The destroy dropped the dead handle from the Manager, so a re-query
+	// yields a fresh live instance in its place.
 	execs2, err := b.QueryExecutions(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fresh *client.ExecutionRef
-	for _, e := range execs2 {
-		if _, err := e.Metrics(); err == nil {
-			fresh = e
-			break
-		}
+	fresh := execs2[0]
+	if fresh.Handle == exec.Handle {
+		t.Fatalf("re-query handed out the dead handle %s", exec.Handle)
 	}
-	if fresh == nil {
-		t.Fatal("no live instance after re-query")
+	tr, err := fresh.TimeStartEnd()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// staleExecID recovers the execution ID for a handle via the site's
-// original dataset ordering (IDs start at 100).
-func staleExecID(t *testing.T, h gsh.Handle) string {
-	t.Helper()
-	// The first-created Execution instance maps to the first execution ID.
-	if h.InstanceID == "" {
-		t.Fatal("empty instance ID")
+	if _, err := fresh.PerformanceResults(perfdata.Query{Metric: "gflops", Time: tr, Type: "hpl"}); err != nil {
+		t.Fatalf("getPR on the fresh instance: %v", err)
 	}
-	return "100"
 }
 
 // TestCompareAcrossSites runs the analysis layer over executions drawn

@@ -447,8 +447,13 @@ func TestManagerFactoryFailure(t *testing.T) {
 func TestManagerForget(t *testing.T) {
 	f := &fakeFactory{host: "a:1"}
 	m, _ := NewManager(f)
+	hs, _ := m.ExecutionHandles([]string{"1"})
+	m.Forget("1", gsh.New("a:1", ExecutionType, "other").String())
 	_, _ = m.ExecutionHandles([]string{"1"})
-	m.Forget("1")
+	if f.count() != 1 {
+		t.Errorf("Forget of a handle the Manager never handed out forced re-creation: %d", f.count())
+	}
+	m.Forget("1", hs[0])
 	_, _ = m.ExecutionHandles([]string{"1"})
 	if f.count() != 2 {
 		t.Errorf("Forget did not force re-creation: %d", f.count())

@@ -872,8 +872,8 @@ func (e *ExecutionService) NotifyUpdate(message string) {
 // released, and in-flight asynchronous deliveries are flushed, so a
 // drained container leaves no paged-query memory or background goroutines
 // behind.
-func (e *ExecutionService) OnDestroy() {
-	e.group.leave(e)
+func (e *ExecutionService) OnDestroy(h gsh.Handle) {
+	e.group.leave(e, h.String())
 	e.cursorMu.Lock()
 	e.cursors, e.cursorIDs, e.cursorBytes = nil, nil, 0
 	e.cursorMu.Unlock()

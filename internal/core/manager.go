@@ -227,14 +227,17 @@ func (m *Manager) PerHostCounts() map[string]int {
 	return out
 }
 
-// Forget drops one cached instance handle, so the next request for the
-// execution creates a fresh instance. A Site calls it whenever an
-// instance of the execution is destroyed, by a client Destroy or by
-// lifetime management.
-func (m *Manager) Forget(execID string) {
+// Forget drops the execution's cached instance handle if it is handle, so
+// the next request for the execution creates a fresh instance. A Site
+// calls it whenever an instance of the execution is destroyed, by a client
+// Destroy or by lifetime management; the destroyed instance may be one the
+// Manager never handed out, and then its own handle stays.
+func (m *Manager) Forget(execID, handle string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.cache, execID)
+	if m.cache[execID] == handle {
+		delete(m.cache, execID)
+	}
 }
 
 // Invoke implements the Manager PortType wire protocol.

@@ -49,10 +49,15 @@ type SiteConfig struct {
 	Addr string
 }
 
+// sweepInterval is how often each host destroys the instances whose
+// termination time has passed.
+const sweepInterval = time.Second
+
 // Site is a running PPerfGrid site.
 type Site struct {
 	cfg        SiteConfig
 	containers []*container.Container
+	stopSweeps []func() // one lifetime sweeper per container
 	manager    *Manager
 
 	appFactory *ogsi.Instance
@@ -63,7 +68,8 @@ type Site struct {
 
 // StartSite stands up the site's containers, deploys an Execution factory
 // on every replica host, and deploys the Application factory and Manager
-// on the primary host.
+// on the primary host. Every host runs a lifetime sweeper, so an instance
+// whose termination time passes is destroyed.
 func StartSite(cfg SiteConfig) (*Site, error) {
 	if len(cfg.Wrappers) == 0 {
 		return nil, fmt.Errorf("core: site %q has no wrappers", cfg.AppName)
@@ -91,6 +97,7 @@ func StartSite(cfg SiteConfig) (*Site, error) {
 			return nil, err
 		}
 		s.containers = append(s.containers, cont)
+		s.stopSweeps = append(s.stopSweeps, hosting.StartSweeper(sweepInterval))
 
 		execFactory := ogsi.NewFactory(hosting, ExecutionType, ExecutionDefinition(), s.executionConstructor(i))
 		if _, err := execFactory.Deploy(); err != nil {
@@ -161,19 +168,27 @@ func (s *Site) executionConstructor(r int) ogsi.Constructor {
 	}
 }
 
-// Close shuts down every container of the site.
+// Close stops the site's sweepers and shuts down every container.
 func (s *Site) Close() {
+	s.stopSweepers()
 	for _, c := range s.containers {
 		_ = c.Close()
 	}
 }
 
-// Drain gracefully shuts the site down: every container stops accepting,
-// sheds new work, and lets in-flight requests finish (or deadline out at
-// ctx). Containers drain concurrently, so the site's drain time is the
-// slowest host's, not the sum. Returns the first container's error, if
-// any.
+func (s *Site) stopSweepers() {
+	for _, stop := range s.stopSweeps {
+		stop()
+	}
+}
+
+// Drain gracefully shuts the site down: the sweepers stop, and every
+// container stops accepting, sheds new work, and lets in-flight requests
+// finish (or deadline out at ctx). Containers drain concurrently, so the
+// site's drain time is the slowest host's, not the sum. Returns the first
+// container's error, if any.
 func (s *Site) Drain(ctx context.Context) error {
+	s.stopSweepers()
 	errs := make(chan error, len(s.containers))
 	for _, c := range s.containers {
 		go func() { errs <- c.Drain(ctx) }()
@@ -301,9 +316,10 @@ func (g *execGroup) join(r int, cache *Cache, hub *ogsi.NotificationHub) (*Execu
 }
 
 // leave drops a destroyed instance, releasing its cache, and makes the
-// site's Manager forget the execution's handle so the next request
-// creates a fresh instance instead of handing out a dead one.
-func (g *execGroup) leave(e *ExecutionService) {
+// site's Manager forget the instance's handle (if it is the one the
+// Manager hands out) so the next request creates a fresh instance instead
+// of handing out a dead one.
+func (g *execGroup) leave(e *ExecutionService, handle string) {
 	g.mu.Lock()
 	g.live = slices.DeleteFunc(g.live, func(x *ExecutionService) bool { return x == e })
 	g.mu.Unlock()
@@ -312,7 +328,7 @@ func (g *execGroup) leave(e *ExecutionService) {
 		m := g.site.manager // nil while the site starts
 		g.site.mu.Unlock()
 		if m != nil {
-			m.Forget(g.id)
+			m.Forget(g.id, handle)
 		}
 	}
 }

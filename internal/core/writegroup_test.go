@@ -174,8 +174,11 @@ func TestDestroyedInstanceLeavesSite(t *testing.T) {
 			if _, err := exec.Call(ogsi.OpSetTerminationTime, past); err != nil {
 				return err
 			}
-			if n := site.Containers()[0].Hosting().Sweep(); n != 1 {
-				return fmt.Errorf("sweep destroyed %d instances, want 1", n)
+			// The site's own sweeper may get there first; either way a
+			// sweep has destroyed the instance once this one returns.
+			site.Containers()[0].Hosting().Sweep()
+			if _, err := exec.Call(OpGetMetrics); err == nil {
+				return fmt.Errorf("expired instance still answers after a sweep")
 			}
 			return nil
 		},
@@ -225,5 +228,44 @@ func TestDestroyedInstanceLeavesSite(t *testing.T) {
 				t.Errorf("%d live instances after re-query, want 1", n)
 			}
 		})
+	}
+}
+
+// TestManagerKeepsHandleWhenAnotherInstanceIsDestroyed: destroying an
+// instance of an execution that the Manager did not hand out (here one
+// made through the Execution factory directly) leaves the Manager's own
+// handle in place, so the Manager neither re-creates the execution nor
+// strands its live instance.
+func TestManagerKeepsHandleWhenAnotherInstanceIsDestroyed(t *testing.T) {
+	site := startHPLSite(t, 1, 1)
+	ids, err := site.LocalWrapper().AllExecIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ids[0]
+	a, err := site.Manager().ExecutionHandles([]string{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewRemoteFactoryRef(site.PrimaryHost()).Stub.Call(ogsi.OpCreateService, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := container.DialString(b[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := site.Manager().ExecutionHandles([]string{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0] != a[0] {
+		t.Errorf("Manager handed out %s after another instance was destroyed, want its own %s", again[0], a[0])
+	}
+	if n := len(site.ExecutionServices(id)); n != 1 {
+		t.Errorf("%d live instances, want the Manager's one", n)
 	}
 }

@@ -186,16 +186,20 @@ func RenderCacheBytesAblation(r CacheBytesRow) string {
 	return viz.Table("Ablation — byte-budgeted LRU cache under a skewed SMG98 mix", header, cells)
 }
 
-// LocalBypassRow compares Services-Layer and direct-wrapper access.
+// LocalBypassRow is one access path's median getPR time and the SOAP
+// requests the site's containers served for it.
 type LocalBypassRow struct {
-	Path   string
-	MeanMs float64
+	Path     string
+	MedianMs float64
+	Requests int64
 }
 
 // RunLocalBypass measures the future-work local-bypass optimization: the
 // same getPR query through the full SOAP stack versus in-process through
-// the co-located site. The difference is the per-query Services-Layer
-// cost a co-located client can avoid.
+// the co-located site. The two paths alternate query by query, so drift
+// (GC, scheduling, warm-up) falls on both alike, and each path reports its
+// median. The difference is the per-query Services-Layer cost a
+// co-located client can avoid.
 func RunLocalBypass(cfg Config, queries int) ([]LocalBypassRow, error) {
 	cfg = cfg.withDefaults()
 	cfg.CachingOff = true
@@ -219,49 +223,50 @@ func RunLocalBypass(cfg Config, queries int) ([]LocalBypassRow, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	measure := func(b *client.Binding) (float64, error) {
-		refs, err := b.QueryExecutions(nil)
-		if err != nil {
-			return 0, err
+	rows := []LocalBypassRow{{Path: "services layer (SOAP)"}, {Path: "local bypass (in-process)"}}
+	refs := make([][]*client.ExecutionRef, len(rows))
+	for p, b := range []*client.Binding{rb, lb} {
+		if refs[p], err = b.QueryExecutions(nil); err != nil {
+			return nil, err
 		}
-		_, q := src.QueryFor(0)
-		var sample Sample
-		for i := 0; i < queries; i++ {
-			ref := refs[i%len(refs)]
+	}
+	served := func() (n int64) {
+		for _, c := range src.Site.Containers() {
+			n += c.Requests()
+		}
+		return n
+	}
+
+	_, q := src.QueryFor(0)
+	samples := make([]Sample, len(rows))
+	for i := 0; i < queries; i++ {
+		for p := range rows {
+			ref := refs[p][i%len(refs[p])]
+			before := served()
 			start := time.Now()
 			if _, err := ref.PerformanceResults(q); err != nil {
-				return 0, err
+				return nil, err
 			}
-			sample.Add(float64(time.Since(start)) / float64(time.Millisecond))
+			samples[p].Add(float64(time.Since(start)) / float64(time.Millisecond))
+			rows[p].Requests += served() - before
 		}
-		return sample.Mean(), nil
 	}
-
-	remoteMs, err := measure(rb)
-	if err != nil {
-		return nil, err
+	for p := range rows {
+		rows[p].MedianMs = samples[p].Percentile(50)
 	}
-	localMs, err := measure(lb)
-	if err != nil {
-		return nil, err
-	}
-	return []LocalBypassRow{
-		{Path: "services layer (SOAP)", MeanMs: remoteMs},
-		{Path: "local bypass (in-process)", MeanMs: localMs},
-	}, nil
+	return rows, nil
 }
 
 // RenderLocalBypass formats the comparison.
 func RenderLocalBypass(rows []LocalBypassRow) string {
-	header := []string{"Access path", "Mean getPR (ms)"}
+	header := []string{"Access path", "Median getPR (ms)", "SOAP requests"}
 	var cells [][]string
 	for _, r := range rows {
-		cells = append(cells, []string{r.Path, Fmt(r.MeanMs)})
+		cells = append(cells, []string{r.Path, Fmt(r.MedianMs), fmt.Sprint(r.Requests)})
 	}
 	out := viz.Table("Ablation — local bypass vs Services Layer (RMA source)", header, cells)
-	if len(rows) == 2 && rows[1].MeanMs > 0 {
-		out += fmt.Sprintf("Bypass speedup: %s\n", Fmt(rows[0].MeanMs/rows[1].MeanMs))
+	if len(rows) == 2 && rows[1].MedianMs > 0 {
+		out += fmt.Sprintf("Bypass speedup: %s\n", Fmt(rows[0].MedianMs/rows[1].MedianMs))
 	}
 	return out
 }

@@ -57,7 +57,8 @@ func TestRunCacheBytesAblation(t *testing.T) {
 }
 
 func TestRunLocalBypass(t *testing.T) {
-	rows, err := RunLocalBypass(Config{Scale: 0.0005, Seed: 9}, 10)
+	const queries = 60
+	rows, err := RunLocalBypass(Config{Scale: 0.0005, Seed: 9}, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,19 @@ func TestRunLocalBypass(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	remote, local := rows[0], rows[1]
-	if remote.MeanMs <= 0 || local.MeanMs <= 0 {
-		t.Fatalf("nonpositive means: %+v", rows)
+	if remote.MedianMs <= 0 || local.MedianMs <= 0 {
+		t.Fatalf("nonpositive medians: %+v", rows)
+	}
+	// The bypass never reaches a container; every remote getPR does.
+	if local.Requests != 0 {
+		t.Errorf("local bypass made %d container requests, want 0", local.Requests)
+	}
+	if remote.Requests < queries {
+		t.Errorf("SOAP path made %d container requests for %d queries", remote.Requests, queries)
 	}
 	// The bypass must not be slower: it does strictly less work.
-	if local.MeanMs > remote.MeanMs {
-		t.Errorf("bypass slower than SOAP path: %v vs %v", local.MeanMs, remote.MeanMs)
+	if local.MedianMs > remote.MedianMs {
+		t.Errorf("bypass slower than SOAP path: median %v vs %v ms", local.MedianMs, remote.MedianMs)
 	}
 	if out := RenderLocalBypass(rows); !strings.Contains(out, "Bypass speedup") {
 		t.Error("render incomplete")

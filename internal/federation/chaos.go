@@ -94,13 +94,6 @@ func (c *ChaosTransport) SetSiteFaults(site string, f SiteFaults) {
 	c.faults[site] = &siteChaos{cfg: f}
 }
 
-// ClearFaults removes every configured fault.
-func (c *ChaosTransport) ClearFaults() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.faults = make(map[string]*siteChaos)
-}
-
 // Injected returns how many errors, blackholes, and slow drips have been
 // injected so far.
 func (c *ChaosTransport) Injected() (errors, blackholes, slowDrips int64) {

@@ -161,11 +161,13 @@ func (h *Hosting) Sweep() int {
 }
 
 // StartSweeper runs Sweep every interval until the returned stop function
-// is called.
+// is called. stop may be called more than once; it returns once the
+// sweeper goroutine has exited.
 func (h *Hosting) StartSweeper(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -177,7 +179,10 @@ func (h *Hosting) StartSweeper(interval time.Duration) (stop func()) {
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }
 
 // DestroyAll destroys every live instance, for orderly shutdown.

@@ -23,7 +23,7 @@ func (e *echoService) Invoke(op string, params []string) ([]string, error) {
 	return append([]string{op}, params...), nil
 }
 
-func (e *echoService) OnDestroy() {
+func (e *echoService) OnDestroy(gsh.Handle) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.destroyed = true
@@ -476,6 +476,25 @@ func TestStartSweeper(t *testing.T) {
 	stop() // double-stop is safe
 }
 
+// BenchmarkSweep1000 is the cost of one Hosting.Sweep that finds nothing
+// to destroy among 1000 live instances (cold-getpr's instance count): the
+// idle work each host's once-a-second sweeper adds to a site.
+func BenchmarkSweep1000(b *testing.B) {
+	h := newTestHosting()
+	for i := 0; i < 1000; i++ {
+		if _, err := h.CreateInstance("Echo", &echoService{}, echoDef()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := h.Sweep(); n != 0 {
+			b.Fatalf("swept %d live instances", n)
+		}
+	}
+}
+
 func TestNotificationHubLocal(t *testing.T) {
 	hub := NewNotificationHub(nil)
 	var mu sync.Mutex
@@ -549,68 +568,6 @@ func TestNotificationHubSubscribeErrors(t *testing.T) {
 	}
 }
 
-func TestSoftStateRegistry(t *testing.T) {
-	r := NewSoftStateRegistry()
-	clock := time.Date(2004, 6, 1, 0, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	r.SetClock(func() time.Time { mu.Lock(); defer mu.Unlock(); return clock })
-
-	h1 := gsh.New("a:1", "Application", "0").String()
-	h2 := gsh.New("b:1", "Application", "0").String()
-	r.Register(h1, "pperfgrid", 60*time.Second)
-	r.Register(h2, "pperfgrid", 10*time.Second)
-	if got := r.Lookup("pperfgrid"); !reflect.DeepEqual(got, []string{h1, h2}) {
-		t.Errorf("Lookup = %v", got)
-	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d", r.Len())
-	}
-	mu.Lock()
-	clock = clock.Add(30 * time.Second)
-	mu.Unlock()
-	if got := r.Lookup("pperfgrid"); !reflect.DeepEqual(got, []string{h1}) {
-		t.Errorf("after lease expiry: %v", got)
-	}
-	if dropped := r.Purge(); dropped != 1 {
-		t.Errorf("Purge = %d", dropped)
-	}
-	r.Unregister(h1)
-	r.Unregister(h1) // idempotent
-	if r.Len() != 0 {
-		t.Errorf("Len after unregister = %d", r.Len())
-	}
-}
-
-func TestSoftStateRegistryWire(t *testing.T) {
-	r := NewSoftStateRegistry()
-	h := gsh.New("a:1", "Application", "0").String()
-	out, err := r.Invoke(OpRegisterService, []string{h, "apps", "60"})
-	if err != nil || out[0] != "registered" {
-		t.Fatalf("register: %v %v", out, err)
-	}
-	out, err = r.Invoke("FindRegistered", []string{"apps"})
-	if err != nil || !reflect.DeepEqual(out, []string{h}) {
-		t.Errorf("find: %v %v", out, err)
-	}
-	out, err = r.Invoke(OpUnregisterService, []string{h})
-	if err != nil || out[0] != "unregistered" {
-		t.Errorf("unregister: %v %v", out, err)
-	}
-	for _, bad := range [][]string{
-		{h, "apps"},            // arity
-		{"junk", "apps", "60"}, // handle
-		{h, "apps", "-5"},      // lease
-		{h, "apps", "x"},       // lease
-	} {
-		if _, err := r.Invoke(OpRegisterService, bad); err == nil {
-			t.Errorf("RegisterService(%v): want error", bad)
-		}
-	}
-	if _, err := r.Invoke("nope", nil); !errors.Is(err, ErrUnknownOperation) {
-		t.Errorf("unknown op: %v", err)
-	}
-}
-
 func TestConcurrentCreateAndDestroy(t *testing.T) {
 	h := newTestHosting()
 	var wg sync.WaitGroup
@@ -653,7 +610,6 @@ func TestOGSAPortTypes(t *testing.T) {
 		{HandleMapPortType(), []string{OpFindByHandle}},
 		{NotificationSourcePortType(), []string{OpSubscribe}},
 		{NotificationSinkPortType(), []string{OpDeliverNotification}},
-		{RegistryPortType(), []string{OpRegisterService, OpUnregisterService}},
 	}
 	for _, c := range cases {
 		have := map[string]bool{}

@@ -62,21 +62,6 @@ func NotificationSinkPortType() wsdl.PortType {
 	}}
 }
 
-// RegistryPortType describes the soft-state Registry interface.
-func RegistryPortType() wsdl.PortType {
-	return wsdl.PortType{Name: "Registry", Operations: []wsdl.Operation{
-		wsdl.Op(OpRegisterService,
-			"Conduct soft-state registration of Grid service handles.",
-			wsdl.P("handle"), wsdl.P("topic"), wsdl.P("leaseSeconds")),
-		wsdl.Op(OpUnregisterService,
-			"Deregister a Grid service handle.",
-			wsdl.P("handle")),
-		wsdl.Op("FindRegistered",
-			"Return the live handles registered under a topic.",
-			wsdl.P("topic")),
-	}}
-}
-
 // FactoryDefinition is the full definition of a factory service for the
 // given product type.
 func FactoryDefinition(productType string) *wsdl.Definition {
@@ -86,10 +71,4 @@ func FactoryDefinition(productType string) *wsdl.Definition {
 // HandleMapDefinition is the full definition of the handle-map service.
 func HandleMapDefinition() *wsdl.Definition {
 	return wsdl.New("HandleMap", HandleMapPortType())
-}
-
-// RegistryDefinition is the full definition of the soft-state registry
-// service.
-func RegistryDefinition() *wsdl.Definition {
-	return wsdl.New("Registry", RegistryPortType())
 }

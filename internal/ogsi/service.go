@@ -1,9 +1,9 @@
 // Package ogsi implements the Open Grid Services Infrastructure core that
 // PPerfGrid builds on: stateful transient service instances with unique
 // Grid Service Handles, the GridService / Factory / HandleMap /
-// NotificationSource / NotificationSink / Registry PortTypes of the
-// paper's Table 3, soft-state lifetime management, and service data
-// elements.
+// NotificationSource / NotificationSink PortTypes of the paper's Table 3,
+// soft-state lifetime management, and service data elements. Table 3's
+// Registry PortType is the lease-holding registry of package registry.
 //
 // The paper used the Globus Toolkit 3.2 for this layer; this package is
 // the from-scratch substitute, providing the same semantics over the SOAP
@@ -135,9 +135,10 @@ func Invoke(ctx context.Context, s Server, op string, params ...string) ([]strin
 }
 
 // Destroyer is optionally implemented by services that must release
-// resources when their hosting instance is destroyed.
+// resources when their hosting instance is destroyed. OnDestroy gets the
+// destroyed instance's handle.
 type Destroyer interface {
-	OnDestroy()
+	OnDestroy(gsh.Handle)
 }
 
 // Errors returned by instance operations.
@@ -155,8 +156,6 @@ const (
 	OpCreateService        = "CreateService"
 	OpCreateServices       = "CreateServices"
 	OpFindByHandle         = "FindByHandle"
-	OpRegisterService      = "RegisterService"
-	OpUnregisterService    = "UnregisterService"
 	OpSubscribe            = "SubscribeToNotificationTopic"
 	OpDeliverNotification  = "DeliverNotification"
 	OpGetServiceDefinition = "GetServiceDefinition"
@@ -199,10 +198,6 @@ func (in *Instance) Handle() gsh.Handle { return in.handle }
 
 // Definition returns the instance's service description.
 func (in *Instance) Definition() *wsdl.Definition { return in.def }
-
-// Impl returns the underlying implementation, for co-located (local
-// bypass) access.
-func (in *Instance) Impl() Service { return in.impl }
 
 // Destroyed reports whether the instance has been destroyed.
 func (in *Instance) Destroyed() bool {
@@ -347,17 +342,6 @@ func (in *Instance) allServiceData() map[string][]string {
 	return out
 }
 
-// ServiceDataNames returns the sorted names of all SDEs.
-func (in *Instance) ServiceDataNames() []string {
-	all := in.allServiceData()
-	names := make([]string, 0, len(all))
-	for n := range all {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // setTerminationTime implements SetTerminationTime. The argument is an
 // RFC3339 timestamp, or TerminationNone to cancel scheduled termination.
 // Per OGSI, the operation returns the (new) current termination time.
@@ -417,7 +401,7 @@ func (in *Instance) Destroy() error {
 		in.hosting.remove(in.handle)
 	}
 	if d, ok := in.impl.(Destroyer); ok {
-		d.OnDestroy()
+		d.OnDestroy(in.handle)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"strings"
 	"time"
 
@@ -45,12 +46,13 @@ func Connect(host string) *Client {
 	return &Client{srv: srv, lookupTimeout: DefaultLookupTimeout, policy: backoff.Default()}
 }
 
-// lookup runs one read-only registry call with a per-attempt deadline
-// and a single jittered retry on transient failure. SOAP faults are the
+// lookup runs one registry call that is safe to repeat (a read, or a
+// KeepPublished refresh or removal) with a per-attempt deadline and a
+// single jittered retry on transient failure. SOAP faults are the
 // registry answering (malformed query, unknown org) — retrying would
-// only repeat the answer, so they return immediately. Publish paths are
-// deliberately not routed through here: blind write retries could
-// duplicate side effects.
+// only repeat the answer, so they return immediately. One-shot publishes
+// and removals are deliberately not routed through here: blind write
+// retries could duplicate side effects.
 func (c *Client) lookup(op string, params ...string) ([]string, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -75,7 +77,36 @@ func (c *Client) PublishOrganization(o Organization) error {
 	return err
 }
 
-// PublishService publishes a service entry.
+// KeepPublished publishes e and republishes it every third of its lease,
+// so the entry stays listed for as long as ctx is live. A failed publish
+// (the registry unreachable, or a previous instance of the same site
+// whose lease has not lapsed yet) is logged and retried on the next tick.
+// When ctx is done it removes the entry, ignoring ErrNoSuchService, and
+// returns the removal's error. Each call is bounded like a lookup.
+func (c *Client) KeepPublished(ctx context.Context, e ServiceEntry) error {
+	return c.keepPublished(ctx, e, serviceLease/3)
+}
+
+func (c *Client) keepPublished(ctx context.Context, e ServiceEntry, every time.Duration) error {
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		if _, err := c.lookup(OpPublishService, e.Organization, e.Name, e.Description, e.FactoryHandle); err != nil {
+			log.Printf("registry: refresh %s/%s: %v", e.Organization, e.Name, err)
+		}
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			_, err := c.lookup(OpRemoveService, e.Organization, e.Name)
+			if err != nil && strings.Contains(err.Error(), ErrNoSuchService.Error()) {
+				err = nil
+			}
+			return err
+		}
+	}
+}
+
+// PublishService publishes a service entry, or refreshes its lease.
 func (c *Client) PublishService(e ServiceEntry) error {
 	_, err := ogsi.Invoke(context.Background(), c.srv, OpPublishService, e.Organization, e.Name, e.Description, e.FactoryHandle)
 	return err

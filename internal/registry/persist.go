@@ -17,7 +17,8 @@ type snapshot struct {
 
 const snapshotVersion = 1
 
-// Snapshot serializes the registry's full state as JSON.
+// Snapshot serializes the registry's organizations and live services as
+// JSON. Leases are not saved.
 func (r *Registry) Snapshot() ([]byte, error) {
 	s := snapshot{Version: snapshotVersion}
 	s.Organizations = r.FindOrganizations("")
@@ -25,7 +26,9 @@ func (r *Registry) Snapshot() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// Restore builds a registry from a Snapshot document.
+// Restore builds a registry from a Snapshot document. Every restored
+// service gets a fresh lease from the time of the restore, so a site that
+// died while the registry was down drops out one lease after the restart.
 func Restore(data []byte) (*Registry, error) {
 	var s snapshot
 	if err := json.Unmarshal(data, &s); err != nil {

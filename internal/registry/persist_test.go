@@ -99,3 +99,42 @@ func TestLoadFileCorrupt(t *testing.T) {
 		t.Error("corrupt file: want error")
 	}
 }
+
+// FuzzRestore feeds arbitrary bytes to Restore: it returns an error or a
+// registry, never panics, and a registry it returns snapshots into a
+// document that restores to the same organizations and services.
+func FuzzRestore(f *testing.F) {
+	h := factoryHandle("A")
+	f.Add([]byte(`{"version":1,"organizations":[{"Name":"PSU","Contact":"a@pdx.edu","Description":"Portland State"}],` +
+		`"services":[{"Organization":"PSU","Name":"HPL","Description":"linpack","FactoryHandle":"` + h + `"}]}`))
+	f.Add([]byte(`{"version":1,"organizations":[{"Name":"PSU"}],"services":[` +
+		`{"Organization":"PSU","Name":"HPL","FactoryHandle":"` + h + `"},` +
+		`{"Organization":"PSU","Name":"HPL","FactoryHandle":"` + factoryHandle("B") + `"}]}`))
+	f.Add([]byte(`{"version":1,"organizations":[{"Name":"PSU"},{"Name":"PSU","Contact":"again"}]}`))
+	f.Add([]byte(`{"version":1,"organizations":null,"services":null}`))
+	f.Add([]byte(`{"version":1,"services":[{"Organization":"ghost","Name":"X","FactoryHandle":"` + h + `"}]}`))
+	f.Add([]byte(`{"version":1,"organizations":[{"Name":"a|b"}]}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := Restore(data)
+		if err != nil {
+			return
+		}
+		again, err := r.Snapshot()
+		if err != nil {
+			t.Fatalf("restored registry does not snapshot: %v", err)
+		}
+		r2, err := Restore(again)
+		if err != nil {
+			t.Fatalf("snapshot of a restored registry does not restore: %v\n%s", err, again)
+		}
+		if !reflect.DeepEqual(r2.FindOrganizations(""), r.FindOrganizations("")) {
+			t.Fatalf("organizations differ after a second round trip:\n%+v\n%+v", r.FindOrganizations(""), r2.FindOrganizations(""))
+		}
+		if !reflect.DeepEqual(r2.AllServices(), r.AllServices()) {
+			t.Fatalf("services differ after a second round trip:\n%+v\n%+v", r.AllServices(), r2.AllServices())
+		}
+	})
+}

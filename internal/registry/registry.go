@@ -8,6 +8,12 @@
 // carries the Application factory's GSH so consumers can bind to it and
 // call CreateService. Consumers browse all organizations or query them by
 // name, then bind to the services they select.
+//
+// Service entries are soft state, as in OGSI: each one holds a lease that
+// its publisher must refresh by republishing it (Client.KeepPublished does
+// so), and an entry whose lease lapses is no longer listed. A site that
+// dies without removing its entry drops out of discovery one lease later.
+// Organizations are not leased.
 package registry
 
 import (
@@ -16,6 +22,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"pperfgrid/internal/gsh"
 	"pperfgrid/internal/ogsi"
@@ -61,18 +68,31 @@ var (
 	ErrDuplicate          = errors.New("registry: duplicate entry")
 )
 
+// serviceLease is how long a published service entry stays listed
+// without being republished.
+const serviceLease = 30 * time.Second
+
 // Registry is the registry state and grid service implementation.
 type Registry struct {
+	now func() time.Time // lease clock; replaced in tests
+
 	mu       sync.RWMutex
 	orgs     map[string]Organization
-	services map[string]map[string]ServiceEntry // org -> service name -> entry
+	services map[string]map[string]leasedEntry // org -> service name -> entry
+}
+
+// leasedEntry is a published service and the end of its lease.
+type leasedEntry struct {
+	ServiceEntry
+	expires time.Time
 }
 
 // New creates an empty registry.
 func New() *Registry {
 	return &Registry{
+		now:      time.Now,
 		orgs:     make(map[string]Organization),
-		services: make(map[string]map[string]ServiceEntry),
+		services: make(map[string]map[string]leasedEntry),
 	}
 }
 
@@ -88,17 +108,20 @@ func (r *Registry) PublishOrganization(o Organization) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.services[o.Name]; !ok {
-		r.services[o.Name] = make(map[string]ServiceEntry)
+		r.services[o.Name] = make(map[string]leasedEntry)
 	}
 	r.orgs[o.Name] = o
 	return nil
 }
 
-// PublishService records a service under an existing organization. The
-// factory handle must be a well-formed GSH. Duplicate service names within
-// an organization are rejected. As for organizations, only the last field
-// of the wire row (the factory handle) may contain "|": one in the name or
-// description is rejected (an organization name never holds one).
+// PublishService records a service under an existing organization and
+// starts its lease. The factory handle must be a well-formed GSH.
+// Republishing a service with the same factory handle refreshes its lease
+// (and updates its description); a different factory handle under a name
+// whose lease is live is rejected with ErrDuplicate, and replaces the old
+// entry once that lease has lapsed. As for organizations, only the last
+// field of the wire row (the factory handle) may contain "|": one in the
+// name or description is rejected (an organization name never holds one).
 func (r *Registry) PublishService(e ServiceEntry) error {
 	if e.Name == "" || strings.Contains(e.Name+e.Description, "|") {
 		return fmt.Errorf("registry: bad service %q: empty name, or \"|\" in name or description", e.Name)
@@ -112,14 +135,18 @@ func (r *Registry) PublishService(e ServiceEntry) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchOrganization, e.Organization)
 	}
-	if _, dup := svcs[e.Name]; dup {
+	now := r.now()
+	if old, ok := svcs[e.Name]; ok && old.live(now) && old.FactoryHandle != e.FactoryHandle {
 		return fmt.Errorf("%w: service %q in %q", ErrDuplicate, e.Name, e.Organization)
 	}
-	svcs[e.Name] = e
+	svcs[e.Name] = leasedEntry{ServiceEntry: e, expires: now.Add(serviceLease)}
 	return nil
 }
 
-// RemoveService deletes a published service.
+func (l leasedEntry) live(now time.Time) bool { return now.Before(l.expires) }
+
+// RemoveService deletes a published service. A service whose lease has
+// lapsed is already gone: removing it reports ErrNoSuchService.
 func (r *Registry) RemoveService(org, name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -127,10 +154,11 @@ func (r *Registry) RemoveService(org, name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchOrganization, org)
 	}
-	if _, ok := svcs[name]; !ok {
+	old, ok := svcs[name]
+	delete(svcs, name)
+	if !ok || !old.live(r.now()) {
 		return fmt.Errorf("%w: %q in %q", ErrNoSuchService, name, org)
 	}
-	delete(svcs, name)
 	return nil
 }
 
@@ -163,31 +191,38 @@ func (r *Registry) FindOrganizations(query string) []Organization {
 	return out
 }
 
-// Services returns the services of one organization, sorted by name.
+// Services returns the live services of one organization, sorted by name.
 func (r *Registry) Services(org string) ([]ServiceEntry, error) {
+	now := r.now()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	svcs, ok := r.services[org]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchOrganization, org)
 	}
-	out := make([]ServiceEntry, 0, len(svcs))
-	for _, e := range svcs {
-		out = append(out, e)
-	}
+	out := appendLive(make([]ServiceEntry, 0, len(svcs)), svcs, now)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
-// AllServices returns every published service across organizations.
+// appendLive appends the entries of svcs whose lease is live at now.
+func appendLive(out []ServiceEntry, svcs map[string]leasedEntry, now time.Time) []ServiceEntry {
+	for _, e := range svcs {
+		if e.live(now) {
+			out = append(out, e.ServiceEntry)
+		}
+	}
+	return out
+}
+
+// AllServices returns every live service across organizations.
 func (r *Registry) AllServices() []ServiceEntry {
+	now := r.now()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []ServiceEntry
 	for _, svcs := range r.services {
-		for _, e := range svcs {
-			out = append(out, e)
-		}
+		out = appendLive(out, svcs, now)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Organization != out[j].Organization {
@@ -214,7 +249,7 @@ func Definition() *wsdl.Definition {
 	return wsdl.New(ServiceType, wsdl.PortType{Name: ServiceType, Operations: []wsdl.Operation{
 		wsdl.Op(OpPublishOrganization, "Create or update an Organization entry with contact information.",
 			wsdl.P("name"), wsdl.P("contact"), wsdl.P("description")),
-		wsdl.Op(OpPublishService, "Publish a Service entry carrying an Application factory GSH under an Organization.",
+		wsdl.Op(OpPublishService, "Publish a Service entry carrying an Application factory GSH under an Organization, leased for "+serviceLease.String()+"; republishing the same factory handle refreshes the lease.",
 			wsdl.P("organization"), wsdl.P("name"), wsdl.P("description"), wsdl.P("factoryHandle")),
 		wsdl.Op(OpRemoveService, "Remove a published Service entry.",
 			wsdl.P("organization"), wsdl.P("name")),
@@ -281,17 +316,15 @@ func encodeEntries(svcs []ServiceEntry) []string {
 	return out
 }
 
-// ServiceData publishes registry statistics.
+// ServiceData publishes registry statistics; serviceCount counts live
+// services only.
 func (r *Registry) ServiceData() map[string][]string {
+	live := len(r.AllServices())
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	total := 0
-	for _, svcs := range r.services {
-		total += len(svcs)
-	}
 	return map[string][]string{
 		"organizationCount": {fmt.Sprintf("%d", len(r.orgs))},
-		"serviceCount":      {fmt.Sprintf("%d", total)},
+		"serviceCount":      {fmt.Sprintf("%d", live)},
 	}
 }
 

@@ -60,8 +60,13 @@ func TestPublishServiceValidation(t *testing.T) {
 	if err := r.PublishService(good); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.PublishService(good); !errors.Is(err, ErrDuplicate) {
-		t.Errorf("duplicate: got %v", err)
+	if err := r.PublishService(good); err != nil {
+		t.Errorf("identical republish (a lease refresh): got %v", err)
+	}
+	other := good
+	other.FactoryHandle = factoryHandle("Other")
+	if err := r.PublishService(other); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("different handle under a live name: got %v", err)
 	}
 	bad := good
 	bad.Name = "RMA"

@@ -19,9 +19,6 @@ import (
 	"sort"
 )
 
-// TargetNS is the namespace of PPerfGrid service definitions.
-const TargetNS = "http://pperfgrid.pdx.edu/ns/2004/wsdl"
-
 // Param is one named input parameter of an operation. All PPerfGrid
 // parameters are strings on the wire; Repeated marks trailing parameters
 // that may appear any number of times (e.g. the Foci list of getPR).
